@@ -3,38 +3,25 @@
 Three independent computations of the same counting polynomials — subset
 brute force, a divisor-class engine, and per-family closed forms — plus a
 verifier that cross-checks them coefficient by coefficient.
+
+The package namespace holds the calls shown in README's "Library use" and
+the types they take, return or raise; everything else is importable from
+its own module.
 """
 
-from .closedform import (closed_domination, closed_total_domination,
-                         complete_graph_polys, join_domination, star_polys)
-from .domcount import (Band, DominationKind, PatternAssignment,
-                       band_occupies, band_weight, bands_for_size,
-                       brute_force_poly, class_engine_poly, gamma_from_poly,
-                       pattern_valid, resolve_brute_limit)
+from .closedform import closed_domination
+from .domcount import DominationKind, class_engine_poly, gamma_from_poly
 from .errors import CapacityError, UnsupportedFamilyError
-from .numtheory import (Factorization, Family, FamilyTag, classify_family,
-                        factorize, gcd, proper_divisors, totient)
-from .polyring import (Polynomial, binomial_expand, evaluate_at,
-                       min_positive_degree, poly_add, poly_mul, render)
-from .verify import (Disagreement, MethodOutcome, VerificationReport,
-                     format_report, report_to_dict, run_verification)
-from .zdgraph import (ClassGraph, DivisorClass, VertexGraph,
-                      build_class_graph, edge_count, edge_list,
-                      expand_vertex_graph, export_dot)
+from .numtheory import Factorization, FamilyTag, classify_family, factorize
+from .polyring import Polynomial
+from .verify import VerificationReport, run_verification
+from .zdgraph import ClassGraph, build_class_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Band", "CapacityError", "ClassGraph", "Disagreement", "DivisorClass",
-    "DominationKind", "Factorization", "Family", "FamilyTag", "MethodOutcome",
-    "PatternAssignment", "Polynomial", "UnsupportedFamilyError",
-    "VerificationReport", "VertexGraph", "band_occupies", "band_weight",
-    "bands_for_size", "binomial_expand", "brute_force_poly",
+    "CapacityError", "ClassGraph", "DominationKind", "Factorization",
+    "FamilyTag", "Polynomial", "UnsupportedFamilyError", "VerificationReport",
     "build_class_graph", "class_engine_poly", "classify_family",
-    "closed_domination", "closed_total_domination", "complete_graph_polys",
-    "edge_count", "edge_list", "evaluate_at", "expand_vertex_graph",
-    "export_dot", "factorize", "format_report", "gamma_from_poly", "gcd",
-    "join_domination", "min_positive_degree", "pattern_valid", "poly_add",
-    "poly_mul", "proper_divisors", "render", "report_to_dict",
-    "resolve_brute_limit", "run_verification", "star_polys", "totient",
+    "closed_domination", "factorize", "gamma_from_poly", "run_verification",
 ]

@@ -18,14 +18,12 @@ import argparse
 import json
 import sys
 
-from .closedform import closed_domination, closed_total_domination
-from .domcount import (DominationKind, brute_force_poly, class_engine_poly,
-                       gamma_from_poly, resolve_brute_limit)
+from .domcount import DominationKind, class_engine_poly, gamma_from_poly
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family, factorize
 from .polyring import evaluate_at
-from .verify import (STATUS_MISMATCH, format_report, report_to_dict,
-                     run_verification)
+from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
+                     format_report, report_to_dict, run_verification)
 from .zdgraph import (build_class_graph, edge_count, edge_list,
                       expand_vertex_graph, export_dot)
 
@@ -45,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload)
-
-
 def _require_modulus(n: int) -> int:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -63,24 +57,13 @@ def cmd_poly(args) -> int:
     n = _require_modulus(args.n)
     kind = _kind(args)
     cg = build_class_graph(n)
-    method = "classes" if args.method == "auto" else args.method
-    if method == "brute":
-        limit = resolve_brute_limit(args.brute_limit)
-        vg = expand_vertex_graph(cg)
-        poly = brute_force_poly(vg, kind, limit)
-    elif method == "classes":
-        poly = class_engine_poly(cg, kind)
-    else:
-        tag = classify_family(factorize(n))
-        if kind is DominationKind.ORDINARY:
-            poly = closed_domination(n, tag)
-        else:
-            poly = closed_total_domination(n, tag)
+    method = METHOD_CLASSES if args.method == "auto" else args.method
+    poly = compute(method, cg, kind, args.brute_limit)
     if cg.vertex_count == 0:
         print(f"note: {n} has no nonzero zero-divisors; the graph is empty",
               file=sys.stderr)
     if args.json:
-        print(_canonical_json({
+        print(json.dumps({
             "n": n,
             "kind": kind.value,
             "method": method,
@@ -96,7 +79,7 @@ def cmd_verify(args) -> int:
     n = _require_modulus(args.n)
     rep = run_verification(n, _kind(args), args.brute_limit)
     if args.json:
-        print(_canonical_json(report_to_dict(rep)))
+        print(json.dumps(report_to_dict(rep)))
     else:
         print(format_report(rep))
     if args.strict and rep.status == STATUS_MISMATCH:
@@ -108,7 +91,7 @@ def cmd_graph(args) -> int:
     n = _require_modulus(args.n)
     cg = build_class_graph(n)
     if args.format == "classes":
-        print(_canonical_json({
+        print(json.dumps({
             "n": n,
             "vertex_count": cg.vertex_count,
             "edge_count": edge_count(cg),
@@ -120,7 +103,7 @@ def cmd_graph(args) -> int:
         }))
     elif args.format == "json":
         vg = expand_vertex_graph(cg)
-        print(_canonical_json({
+        print(json.dumps({
             "n": n,
             "vertex_count": len(vg.labels),
             "edge_count": edge_count(cg),
@@ -141,7 +124,7 @@ def cmd_gamma(args) -> int:
     gamma = gamma_from_poly(class_engine_poly(cg, DominationKind.ORDINARY))
     gamma_total = gamma_from_poly(class_engine_poly(cg, DominationKind.TOTAL))
     if args.json:
-        print(_canonical_json(
+        print(json.dumps(
             {"n": n, "gamma": gamma, "gamma_total": gamma_total}))
     else:
         print(f"gamma={'undef' if gamma is None else gamma} "
@@ -177,7 +160,7 @@ def cmd_table(args) -> int:
             "value_at_1": str(evaluate_at(chosen, 1)),
         })
     if args.json:
-        print(_canonical_json(rows))
+        print(json.dumps(rows))
         return EXIT_OK
     header = f"{'n':>5} {'family':<8} {'|V|':>5} {'|E|':>6} " \
              f"{'gamma':>5} {'gamma_t':>7} {value_header:>14}"
@@ -203,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("n", type=int)
     p_poly.add_argument("--total", action="store_true",
                         help="total domination instead of ordinary")
-    p_poly.add_argument("--method", choices=("auto", "brute", "classes", "closed"),
+    p_poly.add_argument("--method", choices=("auto", *METHODS),
                         default="auto")
     p_poly.add_argument("--brute-limit", type=int, default=None,
                         help="vertex cap for --method brute (default 26, or "

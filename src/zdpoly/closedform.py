@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedFamilyError
 from .numtheory import Family, FamilyTag
-from .polyring import ONE, Polynomial, binomial_expand
+from .polyring import ONE, ZERO, Polynomial, binomial_expand
 
 
 def complete_graph_polys(m: int) -> tuple[Polynomial, Polynomial]:
@@ -146,69 +146,62 @@ def _palpha_Dt(p: int, alpha: int) -> Polynomial:
     return _atleast_one(p - 1) * _atleast_one(nv - (p - 1))
 
 
-def _check_n(n: int, tag: FamilyTag) -> None:
-    rebuilt = {
-        Family.TWO_P: lambda t: 2 * t.p,
-        Family.P_SQUARE: lambda t: t.p ** 2,
-        Family.PQ: lambda t: t.p * t.q,
-        Family.P_SQUARE_Q: lambda t: t.p ** 2 * t.q,
-        Family.PQR: lambda t: t.p * t.q * t.r,
-        Family.P_ALPHA: lambda t: t.p ** t.alpha,
-    }
-    expected = rebuilt[tag.family](tag)
+# One entry per family: n rebuilt from the tag, then the D and the D_t
+# formula, each a function of the tag.
+_FORMULAS = {
+    Family.TWO_P: (
+        lambda t: 2 * t.p,
+        lambda t: star_polys(t.p - 1)[0],
+        lambda t: star_polys(t.p - 1)[1]),
+    Family.P_SQUARE: (
+        lambda t: t.p ** 2,
+        lambda t: complete_graph_polys(t.p - 1)[0],
+        lambda t: complete_graph_polys(t.p - 1)[1]),
+    Family.PQ: (
+        lambda t: t.p * t.q,
+        lambda t: join_domination(_monomial(t.q - 1), _monomial(t.p - 1),
+                                  t.q - 1, t.p - 1),
+        lambda t: _atleast_one(t.q - 1) * _atleast_one(t.p - 1)),
+    Family.P_SQUARE_Q: (
+        lambda t: t.p ** 2 * t.q,
+        lambda t: sum(_psquareq_cases(t.p, t.q), ZERO),
+        lambda t: _psquareq_cases(t.p, t.q)[0]),
+    Family.PQR: (
+        lambda t: t.p * t.q * t.r,
+        lambda t: sum(_pqr_cases(t.p, t.q, t.r), ZERO),
+        lambda t: _pqr_cases(t.p, t.q, t.r)[0]),
+    Family.P_ALPHA: (
+        lambda t: t.p ** t.alpha,
+        lambda t: (complete_graph_polys(t.p - 1)[0] if t.alpha == 2
+                   else _palpha_D(t.p, t.alpha)),
+        lambda t: (complete_graph_polys(t.p - 1)[1] if t.alpha == 2
+                   else _palpha_Dt(t.p, t.alpha))),
+}
+
+
+def _formulas(n: int, tag: FamilyTag, what: str):
+    """The (D, D_t) formulas of the tag's family, once the tag is checked
+    to describe n."""
+    if tag.family not in _FORMULAS:
+        raise UnsupportedFamilyError(
+            f"no closed-form {what} formula applies to n={n}")
+    rebuild, domination, total_domination = _FORMULAS[tag.family]
+    expected = rebuild(tag)
     if expected != n:
         raise ValueError(
             f"family tag {tag} describes {expected}, not {n}")
+    return domination, total_domination
 
 
 def closed_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Domination polynomial of the zero-divisor graph of Z_n from the
     family's closed form.  Raises UnsupportedFamilyError when no formula
     covers the family."""
-    if tag.family is Family.OTHER:
-        raise UnsupportedFamilyError(
-            f"no closed-form domination formula applies to n={n}")
-    _check_n(n, tag)
-    if tag.family is Family.P_ALPHA and tag.alpha == 2:
-        return complete_graph_polys(tag.p - 1)[0]
-    if tag.family is Family.P_SQUARE:
-        return complete_graph_polys(tag.p - 1)[0]
-    if tag.family is Family.TWO_P:
-        return star_polys(tag.p - 1)[0]
-    if tag.family is Family.PQ:
-        fq, fp = tag.q - 1, tag.p - 1
-        return join_domination(_monomial(fq), _monomial(fp), fq, fp)
-    if tag.family is Family.P_SQUARE_Q:
-        total = Polynomial()
-        for case in _psquareq_cases(tag.p, tag.q):
-            total = total + case
-        return total
-    if tag.family is Family.PQR:
-        total = Polynomial()
-        for case in _pqr_cases(tag.p, tag.q, tag.r):
-            total = total + case
-        return total
-    return _palpha_D(tag.p, tag.alpha)
+    return _formulas(n, tag, "domination")[0](tag)
 
 
 def closed_total_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Total-domination polynomial of the zero-divisor graph of Z_n from the
     family's closed form.  Raises UnsupportedFamilyError when no formula
     covers the family."""
-    if tag.family is Family.OTHER:
-        raise UnsupportedFamilyError(
-            f"no closed-form total-domination formula applies to n={n}")
-    _check_n(n, tag)
-    if tag.family is Family.P_ALPHA and tag.alpha == 2:
-        return complete_graph_polys(tag.p - 1)[1]
-    if tag.family is Family.P_SQUARE:
-        return complete_graph_polys(tag.p - 1)[1]
-    if tag.family is Family.TWO_P:
-        return star_polys(tag.p - 1)[1]
-    if tag.family is Family.PQ:
-        return _atleast_one(tag.q - 1) * _atleast_one(tag.p - 1)
-    if tag.family is Family.P_SQUARE_Q:
-        return _psquareq_cases(tag.p, tag.q)[0]
-    if tag.family is Family.PQR:
-        return _pqr_cases(tag.p, tag.q, tag.r)[0]
-    return _palpha_Dt(tag.p, tag.alpha)
+    return _formulas(n, tag, "total-domination")[1](tag)

@@ -19,15 +19,14 @@ whether the class is an internal clique; the counts within a band contribute a
 fixed generating polynomial.  The engine never enumerates bands directly — it
 sweeps the 2^k occupied/unoccupied patterns (k = number of classes), which is
 equivalent and much smaller, and defers all polynomial arithmetic to a final
-pass over deduplicated class-size signatures.
+pass over deduplicated class-size signatures.  The test suite's band
+reference (``tests/band_reference.py``) enumerates the bands outright.
 """
 
 from __future__ import annotations
 
 import os
 from enum import Enum
-from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -50,33 +49,33 @@ class DominationKind(Enum):
     TOTAL = "Dt"
 
 
-class Band(Enum):
-    ZERO = "zero"
-    ONE = "one"
-    MID = "mid"
-    FULL = "full"
-
-
-#: One band per divisor class, aligned with ClassGraph.classes.
-PatternAssignment = tuple[Band, ...]
-
-
 def resolve_brute_limit(flag: int | None = None) -> int:
     """Effective brute-force vertex limit: explicit argument beats the
-    ZDPOLY_BRUTE_LIMIT environment variable, which beats the default."""
+    ZDPOLY_BRUTE_LIMIT environment variable, which beats the default.
+    Raises ValueError for a negative limit from either source."""
     if flag is not None:
-        return flag
-    raw = os.environ.get(BRUTE_LIMIT_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BRUTE_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{BRUTE_LIMIT_ENV_VAR} must be an integer, got {raw!r}") from None
+        name, value = "brute-force limit", flag
+    else:
+        raw = os.environ.get(BRUTE_LIMIT_ENV_VAR)
+        if raw is None:
+            return DEFAULT_BRUTE_LIMIT
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{BRUTE_LIMIT_ENV_VAR} must be an integer, "
+                             f"got {raw!r}") from None
+        name = BRUTE_LIMIT_ENV_VAR
     if value < 0:
-        raise ValueError(f"{BRUTE_LIMIT_ENV_VAR} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def check_brute_size(vertex_count: int, limit: int) -> None:
+    """Raise CapacityError when a graph of ``vertex_count`` vertices is over
+    the brute-force ``limit``; callers check before expanding the graph."""
+    if vertex_count > limit:
+        raise CapacityError(f"{vertex_count} vertices exceeds the "
+                            f"brute-force limit of {limit}")
 
 
 def gamma_from_poly(p: Polynomial) -> int | None:
@@ -95,11 +94,8 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     vertices are folded in per outer iteration, so cost is O(2^|V|) with a
     small constant.  Refuses graphs above ``limit`` vertices.
     """
-    effective_limit = resolve_brute_limit(limit)
     nv = len(vg.labels)
-    if nv > effective_limit:
-        raise CapacityError(
-            f"{nv} vertices exceeds the brute-force limit of {effective_limit}")
+    check_brute_size(nv, resolve_brute_limit(limit))
     if nv > 63:
         raise CapacityError(
             f"brute force packs subsets into machine words and cannot go "
@@ -135,73 +131,6 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
             if c:
                 counts[i + base_size] += c
     return Polynomial(counts)
-
-
-def bands_for_size(m: int) -> tuple[Band, ...]:
-    """The meaningful bands for a class of m vertices.  Degenerate bands are
-    dropped: with m == 1 selecting the single vertex is FULL (not ONE), and
-    with m == 2 there is no strictly-between MID."""
-    if m < 1:
-        raise ValueError(f"class size must be >= 1, got {m}")
-    if m == 1:
-        return (Band.ZERO, Band.FULL)
-    if m == 2:
-        return (Band.ZERO, Band.ONE, Band.FULL)
-    return (Band.ZERO, Band.ONE, Band.MID, Band.FULL)
-
-
-def band_weight(m: int, band: Band) -> Polynomial:
-    """Generating polynomial of the selection counts inside one band: the
-    coefficient of x^a is the number of ways to pick a of the m vertices."""
-    if m < 1:
-        raise ValueError(f"class size must be >= 1, got {m}")
-    if band is Band.ZERO:
-        return Polynomial((1,))
-    if band is Band.ONE:
-        return Polynomial((0, m))
-    if band is Band.MID:
-        return Polynomial([0, 0] + [comb(m, a) for a in range(2, m)])
-    return Polynomial((0,) * m + (1,))
-
-
-def band_occupies(band: Band) -> bool:
-    return band is not Band.ZERO
-
-
-def pattern_valid(pattern: Sequence[Band], cg: ClassGraph,
-                  kind: DominationKind) -> bool:
-    """Whether every selection drawn from this band pattern dominates.
-
-    Domination is decidable at band level: a class's vertices are all hit by
-    any occupied neighboring class, an internal clique hits its own unselected
-    members once occupied, and a selected vertex of a clique has a selected
-    open neighbor exactly when the class holds at least two selections (bands
-    MID and FULL-with-m>=2 guarantee that, ONE never does).
-    """
-    if len(pattern) != len(cg.classes):
-        raise ValueError(
-            f"pattern has {len(pattern)} bands for {len(cg.classes)} classes")
-    occ = [band_occupies(b) for b in pattern]
-    for i, cls in enumerate(cg.classes):
-        hit = any(cg.adjacency[i][j] and occ[j] for j in range(len(pattern)))
-        band = pattern[i]
-        if not occ[i]:
-            if not hit:
-                return False
-            continue
-        if kind is DominationKind.ORDINARY:
-            # Occupied, unhit, no internal edges: unselected members would be
-            # undominated, so the class must be fully selected.
-            if not hit and not cls.is_clique and band is not Band.FULL:
-                return False
-        else:
-            if hit:
-                continue
-            if not (cls.is_clique and cls.size >= 2):
-                return False
-            if band is Band.ONE:
-                return False
-    return True
 
 
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:

@@ -6,7 +6,6 @@ moduli this package targets (a few hundred up to a few million).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,13 +117,6 @@ def totient(n: int) -> int:
     for p, _ in factorize(n).factors:
         result -= result // p
     return result
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; rejects gcd(0, 0), which has no value."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def classify_family(f: Factorization) -> FamilyTag:

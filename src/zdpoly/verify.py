@@ -13,8 +13,9 @@ import time
 from dataclasses import dataclass
 
 from .closedform import closed_domination, closed_total_domination
-from .domcount import (DominationKind, brute_force_poly, class_engine_poly,
-                       gamma_from_poly, resolve_brute_limit)
+from .domcount import (DominationKind, brute_force_poly, check_brute_size,
+                       class_engine_poly, gamma_from_poly,
+                       resolve_brute_limit)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import FamilyTag, classify_family, factorize
 from .polyring import Polynomial
@@ -28,6 +29,32 @@ METHODS = (METHOD_BRUTE, METHOD_CLASSES, METHOD_CLOSED)
 STATUS_ALL_AGREE = "all_agree"
 STATUS_PARTIAL = "partial"
 STATUS_MISMATCH = "mismatch"
+
+
+def compute(method: str, cg: ClassGraph, kind: DominationKind,
+            brute_limit: int | None = None,
+            tag: FamilyTag | None = None) -> Polynomial:
+    """Counting polynomial of ``cg`` by one of METHODS.
+
+    ``brute_limit`` is resolved as in ``resolve_brute_limit``, and a graph
+    over it is refused before it is expanded.  ``tag`` is the family of
+    ``cg.n``; it is classified here when not given.  Raises CapacityError
+    when the method's limit is exceeded and UnsupportedFamilyError when no
+    closed form covers the family.
+    """
+    if method == METHOD_BRUTE:
+        limit = resolve_brute_limit(brute_limit)
+        check_brute_size(cg.vertex_count, limit)
+        return brute_force_poly(expand_vertex_graph(cg), kind, limit)
+    if method == METHOD_CLASSES:
+        return class_engine_poly(cg, kind)
+    if method == METHOD_CLOSED:
+        if tag is None:
+            tag = classify_family(factorize(cg.n))
+        if kind is DominationKind.ORDINARY:
+            return closed_domination(cg.n, tag)
+        return closed_total_domination(cg.n, tag)
+    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass
@@ -71,21 +98,6 @@ def _timed(fn):
     return MethodOutcome(polynomial=value, skipped=err, millis=millis)
 
 
-def _closed_poly(n: int, kind: DominationKind) -> Polynomial:
-    tag = classify_family(factorize(n))
-    if kind is DominationKind.ORDINARY:
-        return closed_domination(n, tag)
-    return closed_total_domination(n, tag)
-
-
-def _brute_poly(cg: ClassGraph, kind: DominationKind, limit: int) -> Polynomial:
-    nv = cg.vertex_count
-    if nv > limit:
-        raise CapacityError(
-            f"{nv} vertices exceeds the brute-force limit of {limit}")
-    return brute_force_poly(expand_vertex_graph(cg), kind, limit)
-
-
 def _gamma_pair(cg: ClassGraph, kind: DominationKind,
                 outcomes: dict[str, MethodOutcome]):
     """Domination numbers for the report, preferring the class engine and
@@ -110,13 +122,11 @@ def run_verification(n: int, kind: DominationKind,
                      brute_limit: int | None = None) -> VerificationReport:
     if n < 2:
         raise ValueError(f"verification requires n >= 2, got {n}")
-    limit = resolve_brute_limit(brute_limit)
     cg = build_class_graph(n)
+    family = classify_family(factorize(n))
     outcomes = {
-        METHOD_BRUTE: _timed(lambda: _brute_poly(cg, kind, limit)),
-        METHOD_CLASSES: _timed(lambda: class_engine_poly(cg, kind)),
-        METHOD_CLOSED: _timed(lambda: _closed_poly(n, kind)),
-    }
+        m: _timed(lambda m=m: compute(m, cg, kind, brute_limit, family))
+        for m in METHODS}
     ran = tuple(m for m in METHODS if outcomes[m].polynomial is not None)
     polys = {m: outcomes[m].polynomial for m in ran}
     distinct = set(polys.values())
@@ -135,7 +145,7 @@ def run_verification(n: int, kind: DominationKind,
         status = STATUS_PARTIAL
     gamma, gamma_total = _gamma_pair(cg, kind, outcomes)
     return VerificationReport(
-        n=n, family=classify_family(factorize(n)), kind=kind,
+        n=n, family=family, kind=kind,
         outcomes=outcomes, status=status, compared=ran,
         disagreements=tuple(disagreements),
         gamma=gamma, gamma_total=gamma_total,

@@ -48,9 +48,6 @@ class ClassGraph:
     def vertex_count(self) -> int:
         return sum(c.size for c in self.classes)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return self.adjacency[i][j]
-
     def adjacency_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) with i < j of adjacent classes, lexicographic."""
         k = len(self.classes)

@@ -4,10 +4,13 @@ runtime budget.  Every test prints a `criterion N: PASS` line (visible under
 verbose test list itself."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import zdpoly
 from zdpoly.cli import main as cli_main
 from zdpoly.closedform import (closed_domination, closed_total_domination,
                                join_domination)
@@ -40,11 +43,15 @@ def _closed_pair(n):
 
 def test_criterion_1_graph75_structure():
     """`graph 75 --format classes` reports 34 vertices and 86 edges in <1s."""
+    # The child process imports the same zdpoly that this test process did.
+    src = str(Path(zdpoly.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     start = time.perf_counter()
     res = subprocess.run(
         [sys.executable, "-m", "zdpoly.cli", "graph", "75",
          "--format", "classes"],
-        capture_output=True, text=True, timeout=10)
+        capture_output=True, text=True, env=env, timeout=10)
     elapsed = time.perf_counter() - start
     assert res.returncode == 0
     payload = json.loads(res.stdout)

@@ -1,0 +1,48 @@
+"""The package namespace and the README's library example."""
+
+import ast
+from pathlib import Path
+
+import zdpoly
+from zdpoly.polyring import Polynomial
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The names README's "Library use" section documents.
+DOCUMENTED = {
+    "CapacityError", "ClassGraph", "DominationKind", "Factorization",
+    "FamilyTag", "Polynomial", "UnsupportedFamilyError", "VerificationReport",
+    "build_class_graph", "class_engine_poly", "classify_family",
+    "closed_domination", "factorize", "gamma_from_poly", "run_verification",
+}
+
+
+def _library_snippet() -> str:
+    section = README.read_text().split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_public_names_are_the_documented_set():
+    assert set(zdpoly.__all__) == DOCUMENTED
+    assert len(zdpoly.__all__) == len(DOCUMENTED)
+    for name in zdpoly.__all__:
+        assert getattr(zdpoly, name) is not None
+
+
+def test_readme_library_snippet_results():
+    """Run the snippet statement by statement and collect the value of each
+    bare expression, which the README annotates with a comment."""
+    namespace: dict = {}
+    values = []
+    for stmt in ast.parse(_library_snippet()).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), README.name, "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), README.name, "exec"),
+                 namespace)
+    gamma_triple, overcount, status = values
+    assert gamma_triple == (34, 34, 2)
+    assert overcount == Polynomial([0] * 9 + [2])
+    assert str(overcount) == "2*x^9"
+    assert status == "mismatch"

@@ -5,14 +5,21 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zdpoly
+
 CMD = [sys.executable, "-m", "zdpoly.cli"]
+# The child process imports the same zdpoly that this test process imported.
+SRC = str(Path(zdpoly.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, env_extra=None):
     env = {k: v for k, v in os.environ.items() if k != "ZDPOLY_BRUTE_LIMIT"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
@@ -95,6 +102,7 @@ def test_brute_limit_env_and_flag():
     ("poly", "abc"),
     ("poly", "1"),
     ("poly", "9", "--method", "psychic"),
+    ("poly", "6", "--method", "brute", "--brute-limit", "-1"),
 ])
 def test_usage_errors_exit_one(argv):
     res = run_cli(*argv)

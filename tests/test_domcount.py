@@ -1,14 +1,14 @@
 """Counting engines: brute force, band semantics, and the class engine."""
 
-import itertools
 from dataclasses import replace
 
 import pytest
+from band_reference import (Band, band_occupies, band_weight, bands_for_size,
+                            pattern_valid, reference_band_poly)
 
 import zdpoly.domcount as dc
-from zdpoly.domcount import (Band, DominationKind, band_occupies, band_weight,
-                             bands_for_size, brute_force_poly,
-                             class_engine_poly, gamma_from_poly, pattern_valid,
+from zdpoly.domcount import (DominationKind, brute_force_poly,
+                             class_engine_poly, gamma_from_poly,
                              resolve_brute_limit)
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial, binomial_expand
@@ -17,20 +17,6 @@ from zdpoly.zdgraph import (ClassGraph, DivisorClass, build_class_graph,
 
 ORD = DominationKind.ORDINARY
 TOT = DominationKind.TOTAL
-
-
-def reference_band_poly(cg, kind):
-    """Independent engine: enumerate every band assignment outright."""
-    total = Polynomial()
-    options = [bands_for_size(c.size) for c in cg.classes]
-    for pattern in itertools.product(*options):
-        if not pattern_valid(pattern, cg, kind):
-            continue
-        prod = Polynomial((1,))
-        for c, band in zip(cg.classes, pattern):
-            prod = prod * band_weight(c.size, band)
-        total = total + prod
-    return total
 
 
 def composite_class_graphs(lo, hi, max_classes=99, max_vertices=10 ** 9):
@@ -185,6 +171,8 @@ def test_resolve_brute_limit(monkeypatch):
     monkeypatch.setenv("ZDPOLY_BRUTE_LIMIT", "-3")
     with pytest.raises(ValueError):
         resolve_brute_limit()
+    with pytest.raises(ValueError):
+        resolve_brute_limit(-1)
 
 
 def test_engine_class_capacity():

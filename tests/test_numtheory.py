@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from zdpoly.numtheory import (Family, classify_family, factorize, gcd,
+from zdpoly.numtheory import (Family, classify_family, factorize,
                               proper_divisors, totient)
 
 
@@ -64,15 +64,6 @@ def test_totient_against_gcd_count():
             1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
     with pytest.raises(ValueError):
         totient(0)
-
-
-def test_gcd_wrapper():
-    assert gcd(12, 18) == 6
-    assert gcd(0, 5) == 5
-    assert gcd(5, 0) == 5
-    assert gcd(-4, 6) == 2
-    with pytest.raises(ValueError):
-        gcd(0, 0)
 
 
 FAMILY_CASES = [

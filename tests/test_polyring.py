@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zdpoly.polyring import (ONE, X, ZERO, Polynomial, binomial_expand,
-                             evaluate_at, min_positive_degree, poly_add,
-                             poly_mul, render)
+                             evaluate_at, min_positive_degree, render)
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 
@@ -47,7 +46,6 @@ def test_hash_consistency():
 def test_add_commutes(a, b):
     pa, pb = Polynomial(a), Polynomial(b)
     assert pa + pb == pb + pa
-    assert poly_add(pa, pb) == pa + pb
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
@@ -57,7 +55,6 @@ def test_ring_axioms(a, b, c):
     assert (pa + pb) + pc == pa + (pb + pc)
     assert pa * (pb + pc) == pa * pb + pa * pc
     assert pa * pb == pb * pa
-    assert poly_mul(pa, pb) == pa * pb
 
 
 @given(coeff_lists)
@@ -86,7 +83,7 @@ def test_evaluate_matches_direct_sum():
 
 
 def test_binomial_expand():
-    for m in range(0, 12):
+    for m in range(0, 200):
         p = binomial_expand(m)
         assert p.coeffs == tuple(comb(m, i) for i in range(m + 1))
         assert evaluate_at(p, 1) == 2 ** m

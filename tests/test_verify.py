@@ -5,11 +5,15 @@ import json
 
 import pytest
 
+from zdpoly import verify
 from zdpoly.domcount import DominationKind
+from zdpoly.errors import CapacityError
+from zdpoly.polyring import Polynomial
 from zdpoly.verify import (METHOD_BRUTE, METHOD_CLASSES, METHOD_CLOSED,
                            METHODS, STATUS_ALL_AGREE, STATUS_MISMATCH,
-                           STATUS_PARTIAL, format_report, report_to_dict,
-                           run_verification)
+                           STATUS_PARTIAL, compute, format_report,
+                           report_to_dict, run_verification)
+from zdpoly.zdgraph import build_class_graph
 
 ORD = DominationKind.ORDINARY
 TOT = DominationKind.TOTAL
@@ -76,6 +80,24 @@ def test_brute_limit_argument():
 
     rep = run_verification(45, ORD, brute_limit=20)
     assert rep.outcomes[METHOD_BRUTE].polynomial is not None
+
+    with pytest.raises(ValueError):
+        run_verification(6, ORD, brute_limit=-1)
+
+
+def test_compute_dispatches_each_method(monkeypatch):
+    cg = build_class_graph(15)
+    for method in METHODS:
+        assert compute(method, cg, ORD) == Polynomial([0, 0, 9, 16, 15, 6, 1])
+    with pytest.raises(ValueError):
+        compute("psychic", cg, ORD)
+
+    def no_expansion(cg):
+        raise AssertionError("expanded a graph over the brute-force limit")
+
+    monkeypatch.setattr(verify, "expand_vertex_graph", no_expansion)
+    with pytest.raises(CapacityError, match="6 vertices exceeds"):
+        compute(METHOD_BRUTE, cg, ORD, brute_limit=5)
 
 
 def test_mismatch_lists_every_running_method():
