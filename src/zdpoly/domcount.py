@@ -4,43 +4,57 @@
 and histograms the dominating ones by size — slow but unarguable, so it serves
 as the ground truth for everything else.
 
-``class_engine_poly`` works on the compressed class graph instead.  Because
-all vertices of a divisor class are interchangeable, a subset of vertices is
-described up to symmetry by how many vertices it takes from each class, and
-whether a subset dominates depends only on each class's *occupancy band*:
+``class_engine_poly`` works on the divisor classes instead.  Class d (the
+vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e
+(Anderson and Livingston, J. Algebra 217, 1999), that is when n/d divides e.
+So the classes covered by a set O of occupied classes form the up-set U of
+the divisibility order generated by the partners {n/d : d in O}, and U is
+generated by an antichain A of proper divisors.  Grouping vertex subsets by
+U, the count factors class by class.  For class e of size m with partner
+p = n/e:
 
-    ZERO  nothing selected
-    ONE   exactly one selected
-    MID   at least two but not all selected
-    FULL  every vertex selected
+    e in U,  p in A          (1+x)^m - 1   p is a generator: e is occupied
+    e in U,  p in U \\ A      (1+x)^m       e may be occupied or not
+    e in U,  p not in U      1             occupying e would grow U
+    e not in U,  p in U      x^m           uncovered: every vertex selected
+    e not in U,  p not in U  the term drops (e can be neither covered nor full)
 
-Validity is decided per class from its band, its neighbors' occupancy, and
-whether the class is an internal clique; the counts within a band contribute a
-fixed generating polynomial.  The engine never enumerates bands directly — it
-sweeps the 2^k occupied/unoccupied patterns (k = number of classes), which is
-equivalent and much smaller, and defers all polynomial arithmetic to a final
-pass over deduplicated class-size signatures.  The test suite's band
-reference (``tests/band_reference.py``) enumerates the bands outright.
+D is the sum of these products over all antichains A.  Total domination
+needs every class covered, so U is all classes and A is the primes p | n:
+
+    D_t = prod over p | n of ((1+x)^(p-1) - 1) * (1+x)^(|V| - sum (p-1)),
+
+since class n/p has p - 1 vertices.  A clique class covered only by itself
+also needs a second selected vertex; that fails only when n = p^alpha and
+the set is one vertex of the lone class n/p, so D_t loses (p-1)*x there.
+The band reference in ``tests/band_reference.py`` enumerates per-class
+occupancy bands outright and shares no code with this engine.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from enum import Enum
-
-import numpy as np
+from itertools import groupby
 
 from .errors import CapacityError
-from .polyring import Polynomial, binomial_expand, min_positive_degree
+from .polyring import ONE, Polynomial, binomial_expand, min_positive_degree
 from .zdgraph import ClassGraph, VertexGraph
 
 DEFAULT_BRUTE_LIMIT = 26
 BRUTE_LIMIT_ENV_VAR = "ZDPOLY_BRUTE_LIMIT"
-MAX_ENGINE_CLASSES = 64
+# Most up-sets (antichains of proper divisors) the class engine takes on for
+# D.  Counting them is cheap; assembling their terms is not, so the engine
+# refuses before assembly.  n = 2520 has 59 540 up-sets and takes about
+# 11 s, n = 5040 has 307 958.  Assembly also grows with |V|: n = 9828 has
+# as many up-sets as 2520 but 7 235 vertices, and takes about 9 minutes.
+ENGINE_UPSET_BUDGET = 60_000
+# Most vertices the class engine takes on, for either kind.  The result has
+# |V| + 1 coefficients of up to |V| bits: n = 70046 (35 023 vertices) peaks
+# at 471 MB, where n = 720720 (582 479 vertices) would need over 100 GB.
+ENGINE_VERTEX_LIMIT = 50_000
 
-# Above this many classes the 2^k sweep falls back from vectorized numpy to a
-# plain loop to keep memory bounded.
-_NUMPY_SWEEP_MAX = 22
 _BRUTE_LOW_BITS = 20
 
 
@@ -94,6 +108,8 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     vertices are folded in per outer iteration, so cost is O(2^|V|) with a
     small constant.  Refuses graphs above ``limit`` vertices.
     """
+    import numpy as np
+
     nv = len(vg.labels)
     check_brute_size(nv, resolve_brute_limit(limit))
     if nv > 63:
@@ -134,142 +150,107 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
 
 
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
-    """Counting polynomial from the compressed graph.
+    """Counting polynomial of ``cg``, a graph from ``build_class_graph``.
 
-    Sweeps all 2^k occupied-class patterns, keeps the valid ones, and buckets
-    each by its *signature*: how many classes of each size take the
-    unrestricted weight (1+x)^m - 1, and what the remaining constrained
-    classes force.  All polynomial products happen once per distinct
-    signature, which keeps the sweep itself integer-only.
+    The divisibility order is rebuilt from the class divisors and ``cg.n``;
+    ``adjacency`` and ``is_clique`` are not read.  Each up-set contributes
+    the product of the class weights in the module docstring.  Before any
+    polynomial is built, CapacityError is raised past ENGINE_UPSET_BUDGET
+    up-sets (D only) or ENGINE_VERTEX_LIMIT vertices.
     """
-    k = len(cg.classes)
-    if k > MAX_ENGINE_CLASSES:
-        raise CapacityError(
-            f"{k} divisor classes exceeds the engine limit of {MAX_ENGINE_CLASSES}")
-    if k == 0:
-        return Polynomial((1,))
+    divisors = [c.divisor for c in cg.classes]
     sizes = [c.size for c in cg.classes]
-    nv = sum(sizes)
-    nbmask = []
-    for i in range(k):
-        row = cg.adjacency[i]
-        nbmask.append(sum(1 << j for j in range(k) if row[j]))
-    clique_mask = sum(1 << i for i, c in enumerate(cg.classes) if c.is_clique)
-    big_clique_mask = sum(1 << i for i, c in enumerate(cg.classes)
-                          if c.is_clique and c.size >= 2)
-    distinct = sorted(set(sizes))
-    size_masks = [sum(1 << i for i in range(k) if sizes[i] == s)
-                  for s in distinct]
-    if k <= _NUMPY_SWEEP_MAX:
-        keyed = _sweep_numpy(k, nbmask, clique_mask, big_clique_mask,
-                             size_masks, distinct, kind)
+    k = len(divisors)
+    index = {d: i for i, d in enumerate(divisors)}
+    partner = [index[cg.n // d] for d in divisors]
+    if kind is DominationKind.TOTAL:
+        # The minimal classes are the primes p | n; their partners n/p
+        # each have to be occupied.
+        primes = [i for i in range(k) if not any(
+            divisors[i] % divisors[j] == 0 for j in range(i))]
+        terms = {_term(sum(1 << i for i in primes), (1 << k) - 1,
+                       partner, sizes): 1}
     else:
-        keyed = _sweep_scalar(k, nbmask, clique_mask, big_clique_mask,
-                              size_masks, distinct, kind)
-    return _assemble(keyed, distinct, nv, kind)
-
-
-def _sweep_numpy(k, nbmask, clique_mask, big_clique_mask, size_masks,
-                 distinct, kind):
-    full_int = (1 << k) - 1
-    full = np.uint64(full_int)
-    cover = np.zeros(1 << k, dtype=np.uint64)
-    for v in range(k):
-        block = cover.reshape(-1, 2, 1 << v)
-        block[:, 1, :] |= np.uint64(nbmask[v])
-    idx = np.arange(1 << k, dtype=np.uint64)
-    valid = (idx | cover) == full
-    if kind is DominationKind.TOTAL:
-        not_big = np.uint64(full_int & ~big_clique_mask)
-        valid &= (idx & ~cover & not_big) == 0
-    sel = idx[valid]
-    cov = cover[valid]
-    g = len(size_masks)
-    if kind is DominationKind.TOTAL:
-        a_set = sel & cov
-        c_set = sel & ~cov
-        cols = [np.bitwise_count(a_set & np.uint64(m)) for m in size_masks]
-        cols += [np.bitwise_count(c_set & np.uint64(m)) for m in size_masks]
-        arr = np.stack(cols, axis=1)
-        uniq, cnt = np.unique(arr, axis=0, return_counts=True)
-        return {(tuple(int(x) for x in row[:g]),
-                 tuple(int(x) for x in row[g:])): int(c)
-                for row, c in zip(uniq, cnt)}
-    a_set = sel & (cov | np.uint64(clique_mask))
-    forced = sel & ~cov & np.uint64(full_int & ~clique_mask)
-    cols = [np.bitwise_count(a_set & np.uint64(m)).astype(np.uint64)
-            for m in size_masks]
-    extra = np.zeros(len(sel), dtype=np.uint64)
-    for s, m in zip(distinct, size_masks):
-        extra += np.uint64(s) * np.bitwise_count(
-            forced & np.uint64(m)).astype(np.uint64)
-    cols.append(extra)
-    arr = np.stack(cols, axis=1)
-    uniq, cnt = np.unique(arr, axis=0, return_counts=True)
-    return {(tuple(int(x) for x in row[:g]), int(row[g])): int(c)
-            for row, c in zip(uniq, cnt)}
-
-
-def _sweep_scalar(k, nbmask, clique_mask, big_clique_mask, size_masks,
-                  distinct, kind):
-    full = (1 << k) - 1
-    not_clique = full & ~clique_mask
-    not_big = full & ~big_clique_mask
-    keyed: dict = {}
-    for occupied in range(1 << k):
-        cover = 0
-        t = occupied
-        while t:
-            cover |= nbmask[(t & -t).bit_length() - 1]
-            t &= t - 1
-        if occupied | cover != full:
-            continue
-        if kind is DominationKind.TOTAL:
-            c_set = occupied & ~cover
-            if c_set & not_big:
-                continue
-            a_set = occupied & cover
-            key = (tuple((a_set & m).bit_count() for m in size_masks),
-                   tuple((c_set & m).bit_count() for m in size_masks))
-        else:
-            a_set = occupied & (cover | clique_mask)
-            forced = occupied & ~cover & not_clique
-            extra = sum(s * (forced & m).bit_count()
-                        for s, m in zip(distinct, size_masks))
-            key = (tuple((a_set & m).bit_count() for m in size_masks), extra)
-        keyed[key] = keyed.get(key, 0) + 1
-    return keyed
-
-
-def _vector_power(vec, bases, cache):
-    """Product over i of bases[i]**vec[i], memoized on the exponent vector."""
-    poly = cache.get(vec)
-    if poly is None:
-        i = next(j for j, c in enumerate(vec) if c)
-        prev = list(vec)
-        prev[i] -= 1
-        poly = _vector_power(tuple(prev), bases, cache) * bases[i]
-        cache[vec] = poly
+        terms = _upset_terms(cg.n, divisors, partner, sizes)
+    nv = sum(sizes)
+    if nv > ENGINE_VERTEX_LIMIT:
+        raise CapacityError(
+            f"n={cg.n} has {nv} vertices, over the class-engine limit of "
+            f"{ENGINE_VERTEX_LIMIT}")
+    poly = _assemble(terms, nv)
+    if kind is DominationKind.TOTAL and len(primes) == 1:
+        poly -= Polynomial((0, sizes[partner[primes[0]]]))
     return poly
 
 
-def _assemble(keyed, distinct, nv, kind):
-    one = Polynomial((1,))
-    bases_a = [binomial_expand(s) - one for s in distinct]
-    zero_vec = (0,) * len(distinct)
-    cache_a = {zero_vec: one}
-    coeffs = [0] * (nv + 1)
-    if kind is DominationKind.TOTAL:
-        bases_c = [binomial_expand(s) - Polynomial((1, s)) for s in distinct]
-        cache_c = {zero_vec: one}
-        for (acnt, ccnt), count in keyed.items():
-            prod = (_vector_power(acnt, bases_a, cache_a)
-                    * _vector_power(ccnt, bases_c, cache_c))
-            for d, coef in enumerate(prod.coeffs):
-                coeffs[d] += count * coef
-    else:
-        for (acnt, extra), count in keyed.items():
-            prod = _vector_power(acnt, bases_a, cache_a)
-            for d, coef in enumerate(prod.coeffs):
-                coeffs[d + extra] += count * coef
-    return Polynomial(coeffs)
+def _upset_terms(n, divisors, partner, sizes):
+    """Count the up-sets by their _term key, enumerating antichains in
+    ascending divisor order: a class joins only when it is outside the
+    up-set of the classes already chosen."""
+    k = len(divisors)
+    up = [sum(1 << j for j in range(i, k) if divisors[j] % divisors[i] == 0)
+          for i in range(k)]
+    terms = Counter()
+    count = 0
+    stack = [(0, 0, 0)]
+    while stack:
+        start, gens, upset = stack.pop()
+        count += 1
+        if count > ENGINE_UPSET_BUDGET:
+            raise CapacityError(
+                f"counting up-sets of divisor classes for n={n} reached "
+                f"{count}, over the class-engine budget of "
+                f"{ENGINE_UPSET_BUDGET}")
+        key = _term(gens, upset, partner, sizes)
+        if key is not None:
+            terms[key] += 1
+        for j in range(start, k):
+            if not upset >> j & 1:
+                stack.append((j + 1, gens | 1 << j, upset | up[j]))
+    return terms
+
+
+def _term(gens, upset, partner, sizes):
+    """(shift, free size, sorted generator sizes) of the product of class
+    weights for the antichain bitmask ``gens`` and its up-set ``upset``, or
+    None when the term drops."""
+    shift = free = 0
+    gen_sizes = []
+    for e, m in enumerate(sizes):
+        p = partner[e]
+        if upset >> e & 1:
+            if gens >> p & 1:
+                gen_sizes.append(m)
+            elif upset >> p & 1:
+                free += m
+        elif upset >> p & 1:
+            shift += m
+        else:
+            return None
+    return shift, free, tuple(sorted(gen_sizes))
+
+
+def _assemble(terms, nv):
+    """Sum of count * x^shift * (1+x)^free * prod((1+x)^m - 1 for m in gens)
+    over the terms {(shift, free, gens): count}."""
+    items = sorted(terms.items(), key=lambda t: t[0][2])
+    return Polynomial(_fold(items, 0, nv))
+
+
+def _fold(items, depth, nv):
+    """Horner step on the trie of sorted generator tuples: every item here
+    shares gens[:depth].  Items whose gens end at depth are added outright;
+    the others are grouped by gens[depth] = m, folded one level deeper and
+    multiplied once by (1+x)^m - 1."""
+    acc = [0] * (nv + 1)
+    for head, group in groupby(items, lambda t: t[0][2][depth:depth + 1]):
+        if head:
+            below = Polynomial(_fold(list(group), depth + 1, nv))
+            for d, c in enumerate(
+                    (below * (binomial_expand(head[0]) - ONE)).coeffs):
+                acc[d] += c
+        else:
+            for (shift, free, _), count in group:
+                for d, c in enumerate(binomial_expand(free).coeffs, shift):
+                    acc[d] += count * c
+    return acc

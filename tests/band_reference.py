@@ -1,7 +1,7 @@
 """Band-enumeration reference for the class engine.
 
 Every vertex subset of a class graph is described up to symmetry by one
-*occupancy band* per divisor class (see ``zdpoly.domcount``):
+*occupancy band* per divisor class:
 
     ZERO  nothing selected
     ONE   exactly one selected
@@ -9,8 +9,9 @@ Every vertex subset of a class graph is described up to symmetry by one
     FULL  every vertex selected
 
 ``reference_band_poly`` enumerates every band assignment outright, keeps the
-dominating ones and sums their band weights.  It shares no code with the
-class engine's 2^k occupancy sweep, so the tests compare the two.
+dominating ones and sums their band weights.  It reads the class graph's
+``adjacency`` and ``is_clique``, which the class engine's up-set count does
+not, and shares no code with it, so the tests compare the two.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
 """The package namespace and the README's library example."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import zdpoly
 from zdpoly.polyring import Polynomial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# The child process imports the same zdpoly that this test process did.
+SRC = str(Path(zdpoly.__file__).resolve().parent.parent)
 
 # The names README's "Library use" section documents.
 DOCUMENTED = {
@@ -27,6 +32,17 @@ def test_public_names_are_the_documented_set():
     assert len(zdpoly.__all__) == len(DOCUMENTED)
     for name in zdpoly.__all__:
         assert getattr(zdpoly, name) is not None
+
+
+def test_import_does_not_load_numpy():
+    """numpy serves brute force only and is imported when it runs."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zdpoly; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_readme_library_snippet_results():

@@ -12,8 +12,7 @@ from zdpoly.domcount import (DominationKind, brute_force_poly,
                              resolve_brute_limit)
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial, binomial_expand
-from zdpoly.zdgraph import (ClassGraph, DivisorClass, build_class_graph,
-                            expand_vertex_graph)
+from zdpoly.zdgraph import ClassGraph, build_class_graph, expand_vertex_graph
 
 ORD = DominationKind.ORDINARY
 TOT = DominationKind.TOTAL
@@ -92,18 +91,6 @@ def test_engine_matches_brute_small():
             assert brute_force_poly(vg, kind) == class_engine_poly(cg, kind), (n, kind)
 
 
-def test_scalar_sweep_matches_numpy(monkeypatch):
-    expected = {}
-    for n in (12, 30, 45, 75):
-        cg = build_class_graph(n)
-        expected[n] = (class_engine_poly(cg, ORD), class_engine_poly(cg, TOT))
-    monkeypatch.setattr(dc, "_NUMPY_SWEEP_MAX", -1)
-    for n, (d, dt) in expected.items():
-        cg = build_class_graph(n)
-        assert class_engine_poly(cg, ORD) == d
-        assert class_engine_poly(cg, TOT) == dt
-
-
 def test_empty_graph_counts_one_empty_set():
     cg = build_class_graph(11)
     vg = expand_vertex_graph(cg)
@@ -176,13 +163,47 @@ def test_resolve_brute_limit(monkeypatch):
 
 
 def test_engine_class_capacity():
-    k = 65
-    classes = tuple(DivisorClass(divisor=i + 2, size=1, is_clique=False)
-                    for i in range(k))
-    adjacency = tuple(tuple(False for _ in range(k)) for _ in range(k))
-    cg = ClassGraph(n=0, classes=classes, adjacency=adjacency)
-    with pytest.raises(CapacityError):
+    # 720720 = 2^4 3^2 5 7 11 13 has 238 classes, far more up-sets than the
+    # budget, and 582 479 vertices; the engine refuses before assembly.
+    cg = build_class_graph(720720)
+    budget = dc.ENGINE_UPSET_BUDGET
+    with pytest.raises(CapacityError) as err:
         class_engine_poly(cg, ORD)
+    assert str(err.value) == (
+        f"counting up-sets of divisor classes for n=720720 reached "
+        f"{budget + 1}, over the class-engine budget of {budget}")
+    with pytest.raises(CapacityError) as err:
+        class_engine_poly(cg, TOT)
+    assert str(err.value) == (
+        f"n=720720 has 582479 vertices, over the class-engine limit of "
+        f"{dc.ENGINE_VERTEX_LIMIT}")
+
+
+def test_engine_beyond_sweep_reach():
+    """n = 360 (22 classes) against the values of the former 2^k sweep, and
+    n = 720 (28 classes), which the sweep never finished, against graph
+    invariants: D(1) is odd (Brouwer 2009), a connected graph has
+    d_|V| = 1 and d_|V|-1 = |V|, and total dominating sets dominate."""
+    cg = build_class_graph(360)
+    d, dt = class_engine_poly(cg, ORD), class_engine_poly(cg, TOT)
+    assert gamma_from_poly(d) == 3 and d.coefficient(3) == 8
+    assert gamma_from_poly(dt) == 3
+    assert d(1) == int(
+        "52106440367825622788765031670830145126573988504341580094137905825"
+        "02137623185013")
+    assert dt(1) == int(
+        "52106440156792287940606943253909558533971493099538253817755912803"
+        "56090833797120")
+
+    cg = build_class_graph(720)
+    nv = cg.vertex_count
+    assert (len(cg.classes), nv) == (28, 527)
+    d, dt = class_engine_poly(cg, ORD), class_engine_poly(cg, TOT)
+    assert d(1) % 2 == 1
+    assert d.degree == nv and d.coefficient(nv) == 1
+    assert d.coefficient(nv - 1) == nv
+    assert all(dt.coefficient(i) <= d.coefficient(i) for i in range(nv + 1))
+    assert gamma_from_poly(d) == gamma_from_poly(dt) == 3
 
 
 def test_gamma_from_poly():
