@@ -55,6 +55,11 @@ ENGINE_UPSET_BUDGET = 60_000
 # at 471 MB, where n = 720720 (582 479 vertices) would need over 100 GB.
 ENGINE_VERTEX_LIMIT = 50_000
 
+# Most vertices brute force takes on whatever the limit: 2^63 subsets is
+# far beyond any run, and a larger limit would only start a loop that never
+# ends.
+BRUTE_CEILING = 63
+
 _BRUTE_LOW_BITS = 20
 
 
@@ -86,10 +91,15 @@ def resolve_brute_limit(flag: int | None = None) -> int:
 
 def check_brute_size(vertex_count: int, limit: int) -> None:
     """Raise CapacityError when a graph of ``vertex_count`` vertices is over
-    the brute-force ``limit``; callers check before expanding the graph."""
+    the brute-force ``limit`` or BRUTE_CEILING; callers check before
+    expanding the graph."""
     if vertex_count > limit:
         raise CapacityError(f"{vertex_count} vertices exceeds the "
                             f"brute-force limit of {limit}")
+    if vertex_count > BRUTE_CEILING:
+        raise CapacityError(
+            f"brute force would enumerate 2^{vertex_count} vertex subsets "
+            f"and stops at {BRUTE_CEILING} vertices")
 
 
 def gamma_from_poly(p: Polynomial) -> int | None:
@@ -104,48 +114,46 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     """Count dominating sets (or total dominating sets) of every size by
     direct enumeration of all vertex subsets.
 
-    The low 20 vertices are precomputed as coverage/size tables; remaining
-    vertices are folded in per outer iteration, so cost is O(2^|V|) with a
-    small constant.  Refuses graphs above ``limit`` vertices.
+    A subset S of the low (first 20) vertices is a bit position in Python-int
+    bitsets of 2^low bits: bit S of ``hit[v]`` is set when S covers vertex v,
+    and bit S of ``sized[s]`` when |S| = s.  For each subset of the remaining
+    high vertices, ANDing the ``hit`` masks of the vertices it leaves
+    uncovered marks the low subsets that complete a dominating set, counted
+    by size with one popcount each.  Cost is O(2^|V|) bit operations.
+    Refuses graphs above ``limit`` vertices or BRUTE_CEILING.
     """
-    import numpy as np
-
     nv = len(vg.labels)
     check_brute_size(nv, resolve_brute_limit(limit))
-    if nv > 63:
-        raise CapacityError(
-            f"brute force packs subsets into machine words and cannot go "
-            f"beyond 63 vertices (got {nv})")
-    if nv == 0:
-        return Polynomial((1,))
     if kind is DominationKind.ORDINARY:
         nbh = list(vg.closed)
     else:
         nbh = [c & ~(1 << u) for u, c in enumerate(vg.closed)]
-    full = np.uint64((1 << nv) - 1)
     low = min(nv, _BRUTE_LOW_BITS)
-    cover = np.zeros(1 << low, dtype=np.uint64)
-    sel_size = np.zeros(1 << low, dtype=np.uint8)
-    for v in range(low):
-        half = 1 << v
-        cover[half:2 * half] = cover[:half] | np.uint64(nbh[v])
-        sel_size[half:2 * half] = sel_size[:half] + 1
+    hit = [0] * nv
+    sized = [1] + [0] * low
+    for b in range(low):
+        half = 1 << b
+        ones = (1 << half) - 1
+        for v in range(nv):
+            hit[v] |= (ones if nbh[v] >> b & 1 else hit[v]) << half
+        for s in range(b + 1, 0, -1):
+            sized[s] |= sized[s - 1] << half
+    full = (1 << (1 << low)) - 1
     counts = [0] * (nv + 1)
     high_nbh = nbh[low:]
     for high in range(1 << (nv - low)):
-        base = 0
-        base_size = 0
+        covered = 0
         h = high
         while h:
-            base |= high_nbh[(h & -h).bit_length() - 1]
-            base_size += 1
+            covered |= high_nbh[(h & -h).bit_length() - 1]
             h &= h - 1
-        dominated = (cover | np.uint64(base)) == full
-        hist = np.bincount(sel_size[dominated], minlength=low + 1)
-        for i in range(low + 1):
-            c = int(hist[i])
-            if c:
-                counts[i + base_size] += c
+        dominated = full
+        for v in range(nv):
+            if not covered >> v & 1:
+                dominated &= hit[v]
+        base_size = high.bit_count()
+        for s, mask in enumerate(sized):
+            counts[s + base_size] += (dominated & mask).bit_count()
     return Polynomial(counts)
 
 

@@ -35,14 +35,21 @@ def test_public_names_are_the_documented_set():
 
 
 def test_import_does_not_load_numpy():
-    """numpy serves brute force only and is imported when it runs."""
+    """Neither importing the package nor running every method, brute force
+    included, loads numpy: the package needs only the standard library."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, zdpoly; assert 'numpy' not in sys.modules"],
+         "import sys, zdpoly\n"
+         "assert 'numpy' not in sys.modules\n"
+         "from zdpoly.cli import main\n"
+         "assert main(['verify', '45']) == 0\n"
+         "assert main(['verify', '45', '--total']) == 0\n"
+         "assert 'numpy' not in sys.modules"],
         capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
+    assert "brute   [" in res.stdout
 
 
 def test_readme_library_snippet_results():

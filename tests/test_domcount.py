@@ -3,16 +3,19 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from band_reference import (Band, band_occupies, band_weight, bands_for_size,
                             pattern_valid, reference_band_poly)
 
 import zdpoly.domcount as dc
 from zdpoly.domcount import (DominationKind, brute_force_poly,
-                             class_engine_poly, gamma_from_poly,
-                             resolve_brute_limit)
+                             check_brute_size, class_engine_poly,
+                             gamma_from_poly, resolve_brute_limit)
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial, binomial_expand
-from zdpoly.zdgraph import ClassGraph, build_class_graph, expand_vertex_graph
+from zdpoly.zdgraph import (ClassGraph, VertexGraph, build_class_graph,
+                            expand_vertex_graph)
 
 ORD = DominationKind.ORDINARY
 TOT = DominationKind.TOTAL
@@ -85,7 +88,8 @@ def test_engine_matches_band_reference():
 
 
 def test_engine_matches_brute_small():
-    for n, cg in composite_class_graphs(4, 80, max_vertices=20):
+    # |V| <= 26 holds for no n > 729; above 20 vertices the high half runs
+    for n, cg in composite_class_graphs(4, 729, max_vertices=26):
         vg = expand_vertex_graph(cg)
         for kind in (ORD, TOT):
             assert brute_force_poly(vg, kind) == class_engine_poly(cg, kind), (n, kind)
@@ -135,6 +139,46 @@ def test_brute_limit_enforced():
     with pytest.raises(CapacityError):
         brute_force_poly(vg, ORD, limit=19)
     assert brute_force_poly(vg, ORD, limit=20).coefficient(0) == 0
+    # 63 vertices is the ceiling whatever the limit
+    check_brute_size(63, 100)
+    with pytest.raises(CapacityError) as err:
+        check_brute_size(64, 100)
+    assert str(err.value) == ("brute force would enumerate 2^64 vertex "
+                              "subsets and stops at 63 vertices")
+
+
+def _plain_count(closed, kind):
+    """Coefficients of the counting polynomial by testing every subset."""
+    nv = len(closed)
+    nbh = [c & ~(1 << u) if kind is TOT else c for u, c in enumerate(closed)]
+    counts = [0] * (nv + 1)
+    for subset in range(1 << nv):
+        if all(subset & nbh[v] for v in range(nv)):
+            counts[subset.bit_count()] += 1
+    return Polynomial(counts)
+
+
+@st.composite
+def vertex_graphs(draw):
+    """Random simple graphs of up to 12 vertices, twin classes or not."""
+    nv = draw(st.integers(0, 12))
+    closed = [1 << v for v in range(nv)]
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            if draw(st.booleans()):
+                closed[u] |= 1 << v
+                closed[v] |= 1 << u
+    return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
+
+
+@pytest.mark.parametrize("low_bits", [dc._BRUTE_LOW_BITS, 3])
+@settings(max_examples=60, deadline=None)
+@given(vg=vertex_graphs())
+def test_brute_matches_plain_count(vg, low_bits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "_BRUTE_LOW_BITS", low_bits)
+        for kind in (ORD, TOT):
+            assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
 
 
 def test_brute_reads_env_for_default_limit(monkeypatch):

@@ -98,6 +98,9 @@ def test_compute_dispatches_each_method(monkeypatch):
     monkeypatch.setattr(verify, "expand_vertex_graph", no_expansion)
     with pytest.raises(CapacityError, match="6 vertices exceeds"):
         compute(METHOD_BRUTE, cg, ORD, brute_limit=5)
+    # 65 vertices is within a limit of 100 but over the brute-force ceiling
+    with pytest.raises(CapacityError, match=r"2\^65 vertex subsets"):
+        compute(METHOD_BRUTE, build_class_graph(90), ORD, brute_limit=100)
 
 
 def test_mismatch_lists_every_running_method():
