@@ -96,8 +96,9 @@ def cmd_graph(args) -> int:
             "vertex_count": cg.vertex_count,
             "edge_count": edge_count(cg),
             "classes": [
-                {"divisor": c.divisor, "size": c.size, "is_clique": c.is_clique}
-                for c in cg.classes
+                {"divisor": c.divisor, "size": c.size,
+                 "is_clique": bool(cg.neighbors[i] >> i & 1)}
+                for i, c in enumerate(cg.classes)
             ],
             "adjacency": [[i, j] for i, j in cg.adjacency_pairs()],
         }))
@@ -227,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Counts past 4 300 digits (about 14 300 vertices) would otherwise fail
+    # to print; the function is missing before Python 3.10.7.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CapacityError as exc:

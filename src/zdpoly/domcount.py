@@ -5,13 +5,13 @@ and histograms the dominating ones by size — slow but unarguable, so it serves
 as the ground truth for everything else.
 
 ``class_engine_poly`` works on the divisor classes instead.  Class d (the
-vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e
-(Anderson and Livingston, J. Algebra 217, 1999), that is when n/d divides e.
-So the classes covered by a set O of occupied classes form the up-set U of
-the divisibility order generated by the partners {n/d : d in O}, and U is
-generated by an antichain A of proper divisors.  Grouping vertex subsets by
-U, the count factors class by class.  For class e of size m with partner
-p = n/e:
+vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e,
+that is when n/d divides e, so ``ClassGraph.neighbors`` of class d is the
+up-set of its partner n/d.  The classes covered by a set O of occupied
+classes form the up-set U of the divisibility order generated by the
+partners {n/d : d in O}, and U is generated by an antichain A of proper
+divisors.  Grouping vertex subsets by U, the count factors class by class.
+For class e of size m with partner p = n/e:
 
     e in U,  p in A          (1+x)^m - 1   p is a generator: e is occupied
     e in U,  p in U \\ A      (1+x)^m       e may be occupied or not
@@ -39,8 +39,8 @@ from enum import Enum
 from itertools import groupby
 
 from .errors import CapacityError
-from .polyring import ONE, Polynomial, binomial_expand, min_positive_degree
-from .zdgraph import ClassGraph, VertexGraph
+from .polyring import ONE, Polynomial, binomial_expand
+from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
 DEFAULT_BRUTE_LIMIT = 26
 BRUTE_LIMIT_ENV_VAR = "ZDPOLY_BRUTE_LIMIT"
@@ -50,10 +50,6 @@ BRUTE_LIMIT_ENV_VAR = "ZDPOLY_BRUTE_LIMIT"
 # 11 s, n = 5040 has 307 958.  Assembly also grows with |V|: n = 9828 has
 # as many up-sets as 2520 but 7 235 vertices, and takes about 9 minutes.
 ENGINE_UPSET_BUDGET = 60_000
-# Most vertices the class engine takes on, for either kind.  The result has
-# |V| + 1 coefficients of up to |V| bits: n = 70046 (35 023 vertices) peaks
-# at 471 MB, where n = 720720 (582 479 vertices) would need over 100 GB.
-ENGINE_VERTEX_LIMIT = 50_000
 
 # Most vertices brute force takes on whatever the limit: 2^63 subsets is
 # far beyond any run, and a larger limit would only start a loop that never
@@ -106,7 +102,7 @@ def gamma_from_poly(p: Polynomial) -> int | None:
     """Domination number encoded in a counting polynomial: the least positive
     degree with a nonzero coefficient.  None when no positive-size dominating
     set exists (graphs with isolated vertices, in the total case)."""
-    return min_positive_degree(p)
+    return next((i for i, c in enumerate(p.coeffs) if i and c), None)
 
 
 def brute_force_poly(vg: VertexGraph, kind: DominationKind,
@@ -160,44 +156,36 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``.
 
-    The divisibility order is rebuilt from the class divisors and ``cg.n``;
-    ``adjacency`` and ``is_clique`` are not read.  Each up-set contributes
-    the product of the class weights in the module docstring.  Before any
-    polynomial is built, CapacityError is raised past ENGINE_UPSET_BUDGET
-    up-sets (D only) or ENGINE_VERTEX_LIMIT vertices.
+    The lowest bit of ``neighbors[i]`` is the partner class n/d_i, and
+    ``neighbors[partner[j]]`` is the up-set of class j.  Each up-set
+    contributes the product of the class weights in the module docstring.
+    Before any polynomial is built, CapacityError is raised past
+    ENGINE_UPSET_BUDGET up-sets (D only) or zdgraph.VERTEX_LIMIT vertices.
     """
-    divisors = [c.divisor for c in cg.classes]
     sizes = [c.size for c in cg.classes]
-    k = len(divisors)
-    index = {d: i for i, d in enumerate(divisors)}
-    partner = [index[cg.n // d] for d in divisors]
+    partner = [(mask & -mask).bit_length() - 1 for mask in cg.neighbors]
+    up = [cg.neighbors[p] for p in partner]
     if kind is DominationKind.TOTAL:
-        # The minimal classes are the primes p | n; their partners n/p
-        # each have to be occupied.
-        primes = [i for i in range(k) if not any(
-            divisors[i] % divisors[j] == 0 for j in range(i))]
-        terms = {_term(sum(1 << i for i in primes), (1 << k) - 1,
-                       partner, sizes): 1}
+        # The minimal classes are the primes p | n, the classes in no other
+        # class's up-set; their partners n/p each have to be occupied.
+        primes = every = (1 << len(sizes)) - 1
+        for j, upset in enumerate(up):
+            primes &= ~upset | 1 << j
+        terms = {_term(primes, every, partner, sizes): 1}
     else:
-        terms = _upset_terms(cg.n, divisors, partner, sizes)
-    nv = sum(sizes)
-    if nv > ENGINE_VERTEX_LIMIT:
-        raise CapacityError(
-            f"n={cg.n} has {nv} vertices, over the class-engine limit of "
-            f"{ENGINE_VERTEX_LIMIT}")
-    poly = _assemble(terms, nv)
-    if kind is DominationKind.TOTAL and len(primes) == 1:
-        poly -= Polynomial((0, sizes[partner[primes[0]]]))
+        terms = _upset_terms(cg.n, up, partner, sizes)
+    check_vertex_limit(cg, "class-engine")
+    poly = _assemble(terms, sum(sizes))
+    if kind is DominationKind.TOTAL and primes.bit_count() == 1:
+        poly -= Polynomial((0, sizes[partner[primes.bit_length() - 1]]))
     return poly
 
 
-def _upset_terms(n, divisors, partner, sizes):
+def _upset_terms(n, up, partner, sizes):
     """Count the up-sets by their _term key, enumerating antichains in
     ascending divisor order: a class joins only when it is outside the
     up-set of the classes already chosen."""
-    k = len(divisors)
-    up = [sum(1 << j for j in range(i, k) if divisors[j] % divisors[i] == 0)
-          for i in range(k)]
+    k = len(sizes)
     terms = Counter()
     count = 0
     stack = [(0, 0, 0)]

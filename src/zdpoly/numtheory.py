@@ -17,18 +17,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.factors)
-
-    @property
-    def is_prime(self) -> bool:
-        return len(self.factors) == 1 and self.factors[0][1] == 1
-
 
 class Family(Enum):
     """Structural shape of n, used to select a closed-form formula."""

@@ -120,14 +120,6 @@ def evaluate_at(p: Polynomial, x: int) -> int:
     return acc
 
 
-def min_positive_degree(p: Polynomial) -> int | None:
-    """Smallest i >= 1 with a nonzero coefficient, or None if there is none."""
-    for i, c in enumerate(p.coeffs):
-        if i >= 1 and c != 0:
-            return i
-    return None
-
-
 def render(p: Polynomial) -> str:
     """Human-readable form like ``1 + 3*x + x^2``; zero renders as ``0``.
 

@@ -17,9 +17,10 @@ from .domcount import (DominationKind, brute_force_poly, check_brute_size,
                        class_engine_poly, gamma_from_poly,
                        resolve_brute_limit)
 from .errors import CapacityError, UnsupportedFamilyError
-from .numtheory import FamilyTag, classify_family, factorize
+from .numtheory import Family, FamilyTag, classify_family, factorize
 from .polyring import Polynomial
-from .zdgraph import ClassGraph, build_class_graph, expand_vertex_graph
+from .zdgraph import (ClassGraph, build_class_graph, check_vertex_limit,
+                      expand_vertex_graph)
 
 METHOD_BRUTE = "brute"
 METHOD_CLASSES = "classes"
@@ -39,8 +40,9 @@ def compute(method: str, cg: ClassGraph, kind: DominationKind,
     ``brute_limit`` is resolved as in ``resolve_brute_limit``, and a graph
     over it is refused before it is expanded.  ``tag`` is the family of
     ``cg.n``; it is classified here when not given.  Raises CapacityError
-    when the method's limit is exceeded and UnsupportedFamilyError when no
-    closed form covers the family.
+    when the method's limit is exceeded (for the closed forms, as for the
+    engine, zdgraph.VERTEX_LIMIT) and UnsupportedFamilyError when no closed
+    form covers the family.
     """
     if method == METHOD_BRUTE:
         limit = resolve_brute_limit(brute_limit)
@@ -51,6 +53,8 @@ def compute(method: str, cg: ClassGraph, kind: DominationKind,
     if method == METHOD_CLOSED:
         if tag is None:
             tag = classify_family(factorize(cg.n))
+        if tag.family is not Family.OTHER:  # OTHER has no formula to run
+            check_vertex_limit(cg, "closed-form")
         if kind is DominationKind.ORDINARY:
             return closed_domination(cg.n, tag)
         return closed_total_domination(cg.n, tag)
@@ -100,21 +104,18 @@ def _timed(fn):
 
 def _gamma_pair(cg: ClassGraph, kind: DominationKind,
                 outcomes: dict[str, MethodOutcome]):
-    """Domination numbers for the report, preferring the class engine and
-    falling back to any method that did run for the requested kind."""
+    """Domination numbers for the report, from the class engine only, as
+    in ``gamma`` and ``table``; None where the engine was refused."""
     gammas: dict[DominationKind, int | None] = {}
     for k in DominationKind:
         if k is kind:
             poly = outcomes[METHOD_CLASSES].polynomial
-            if poly is None:
-                poly = next((outcomes[m].polynomial for m in METHODS
-                             if outcomes[m].polynomial is not None), None)
-            gammas[k] = None if poly is None else gamma_from_poly(poly)
         else:
             try:
-                gammas[k] = gamma_from_poly(class_engine_poly(cg, k))
+                poly = class_engine_poly(cg, k)
             except CapacityError:
-                gammas[k] = None
+                poly = None
+        gammas[k] = None if poly is None else gamma_from_poly(poly)
     return gammas[DominationKind.ORDINARY], gammas[DominationKind.TOTAL]
 
 

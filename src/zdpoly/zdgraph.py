@@ -2,12 +2,16 @@
 
 The vertex-level graph has one vertex per nonzero zero-divisor of Z_n, with
 u ~ v whenever u*v is 0 mod n.  Grouping vertices by g = gcd(v, n) compresses
-this to one node per proper divisor g of n: all gcd(n/g)-class members share
-the same neighbors outside the class, classes d_i and d_j are either fully
-joined (when n divides d_i * d_j) or fully non-adjacent, and a class is an
-internal clique exactly when n divides d^2.  The compressed form is what the
-counting engine consumes; the expanded form exists for brute-force checks and
-DOT export.
+this to one node per proper divisor g of n.  Class d is joined to class e
+exactly when n | d*e (Anderson and Livingston, J. Algebra 217, 1999): every
+vertex of d to every vertex of e, or none, and the members of class d to
+each other when n | d^2.  ``ClassGraph.neighbors`` holds that rule as one
+bitmask per class; everything else reads the masks.  The compressed form is
+what the counting engine consumes; the expanded form exists for brute-force
+checks and DOT export.
+
+VERTEX_LIMIT caps every computation that builds data of size |V|:
+expansion, the class engine and the closed forms.
 """
 
 from __future__ import annotations
@@ -18,31 +22,36 @@ from math import comb, gcd
 from .errors import CapacityError
 from .numtheory import proper_divisors, totient
 
-DEFAULT_EXPANSION_LIMIT = 50_000
+# Most vertices taken on by anything that builds |V|-sized data.  A counting
+# polynomial has |V| + 1 coefficients of up to |V| bits: n = 70046 (35 023
+# vertices) peaks at 471 MB, where n = 720720 (582 479 vertices) would need
+# over 100 GB.  An expanded graph holds one |V|-bit set per vertex.
+VERTEX_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
 class DivisorClass:
     """The vertices v with gcd(v, n) == divisor; there are totient(n/divisor)
-    of them, and they form a clique iff n | divisor^2."""
+    of them."""
 
     divisor: int
     size: int
-    is_clique: bool
 
 
 @dataclass(frozen=True)
 class ClassGraph:
     """Divisor-class compression of the zero-divisor graph of Z_n.
 
-    ``classes`` is ordered by ascending divisor; ``adjacency`` is a symmetric
-    boolean matrix with a False diagonal (internal edges are carried by
-    ``is_clique``, not by the matrix).
+    ``classes`` is ordered by ascending divisor d_0 < d_1 < ...  Bit j of
+    ``neighbors[i]`` is set exactly when n | d_i * d_j, so bit i marks class
+    i as an internal clique.  Since n | d_i * d_j iff n/d_i | d_j,
+    ``neighbors[i]`` is also the up-set of class n/d_i in the divisibility
+    order, and its lowest set bit is that class.
     """
 
     n: int
     classes: tuple[DivisorClass, ...]
-    adjacency: tuple[tuple[bool, ...], ...]
+    neighbors: tuple[int, ...]
 
     @property
     def vertex_count(self) -> int:
@@ -51,8 +60,8 @@ class ClassGraph:
     def adjacency_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) with i < j of adjacent classes, lexicographic."""
         k = len(self.classes)
-        return [(i, j) for i in range(k) for j in range(i + 1, k)
-                if self.adjacency[i][j]]
+        return [(i, j) for i, mask in enumerate(self.neighbors)
+                for j in range(i + 1, k) if mask >> j & 1]
 
 
 @dataclass(frozen=True)
@@ -74,63 +83,57 @@ def build_class_graph(n: int) -> ClassGraph:
     if n < 2:
         raise ValueError(f"build_class_graph requires n >= 2, got {n}")
     divisors = proper_divisors(n)
-    classes = tuple(
-        DivisorClass(divisor=d, size=totient(n // d), is_clique=(d * d) % n == 0)
-        for d in divisors
-    )
-    adjacency = tuple(
-        tuple(i != j and (di * dj) % n == 0 for j, dj in enumerate(divisors))
-        for i, di in enumerate(divisors)
-    )
-    return ClassGraph(n=n, classes=classes, adjacency=adjacency)
+    classes = tuple(DivisorClass(divisor=d, size=totient(n // d))
+                    for d in divisors)
+    neighbors = tuple(
+        sum(1 << j for j, e in enumerate(divisors) if (d * e) % n == 0)
+        for d in divisors)
+    return ClassGraph(n=n, classes=classes, neighbors=neighbors)
 
 
-def expand_vertex_graph(cg: ClassGraph, limit: int = DEFAULT_EXPANSION_LIMIT) -> VertexGraph:
+def check_vertex_limit(cg: ClassGraph, what: str) -> None:
+    """Raise CapacityError when ``cg`` is over VERTEX_LIMIT, naming ``what``
+    refused it."""
+    nv = cg.vertex_count
+    if nv > VERTEX_LIMIT:
+        raise CapacityError(f"n={cg.n} has {nv} vertices, over the {what} "
+                            f"limit of {VERTEX_LIMIT}")
+
+
+def expand_vertex_graph(cg: ClassGraph) -> VertexGraph:
     """Materialize the vertex-level graph from its class form.
 
-    Refuses graphs larger than ``limit`` vertices, since the result is
+    Refuses graphs larger than VERTEX_LIMIT vertices, since the result is
     quadratic-ish in memory (one bitset per vertex).
     """
     nv = cg.vertex_count
-    if nv > limit:
-        raise CapacityError(
-            f"n={cg.n} expands to {nv} vertices, above the limit of {limit}")
+    if nv > VERTEX_LIMIT:
+        raise CapacityError(f"n={cg.n} expands to {nv} vertices, above the "
+                            f"limit of {VERTEX_LIMIT}")
     n = cg.n
     labels = tuple(v for v in range(1, n) if gcd(v, n) > 1)
-    closed = []
-    # Bitset per class first, then per-vertex closed neighborhoods from the
-    # class adjacency; this avoids the quadratic label-by-label product test.
-    k = len(cg.classes)
-    class_bits = [0] * k
+    # Bitset per class first, then one neighbourhood per class by ORing the
+    # classes its mask names; this avoids the quadratic label-by-label test.
     class_index = {c.divisor: i for i, c in enumerate(cg.classes)}
-    vertex_class = []
-    for i, v in enumerate(labels):
-        ci = class_index[gcd(v, n)]
-        vertex_class.append(ci)
+    vertex_class = [class_index[gcd(v, n)] for v in labels]
+    class_bits = [0] * len(cg.classes)
+    for i, ci in enumerate(vertex_class):
         class_bits[ci] |= 1 << i
-    neighbor_bits = []
-    for ci in range(k):
-        bits = 0
-        for cj in range(k):
-            if cg.adjacency[ci][cj]:
-                bits |= class_bits[cj]
-        if cg.classes[ci].is_clique:
-            bits |= class_bits[ci]
-        neighbor_bits.append(bits)
-    for i, v in enumerate(labels):
-        closed.append(neighbor_bits[vertex_class[i]] | (1 << i))
-    return VertexGraph(n=n, labels=labels, closed=tuple(closed))
+    # The class bitsets are disjoint, so their sum is their union.
+    neighbor_bits = [
+        sum(cb for j, cb in enumerate(class_bits) if mask >> j & 1)
+        for mask in cg.neighbors]
+    closed = tuple(neighbor_bits[ci] | 1 << i
+                   for i, ci in enumerate(vertex_class))
+    return VertexGraph(n=n, labels=labels, closed=closed)
 
 
 def edge_count(cg: ClassGraph) -> int:
     """Number of edges of the expanded graph, computed without expanding."""
-    total = 0
-    for i, j in cg.adjacency_pairs():
-        total += cg.classes[i].size * cg.classes[j].size
-    for c in cg.classes:
-        if c.is_clique:
-            total += comb(c.size, 2)
-    return total
+    sizes = [c.size for c in cg.classes]
+    return (sum(sizes[i] * sizes[j] for i, j in cg.adjacency_pairs())
+            + sum(comb(m, 2) for i, m in enumerate(sizes)
+                  if cg.neighbors[i] >> i & 1))
 
 
 def edge_list(vg: VertexGraph) -> list[tuple[int, int]]:

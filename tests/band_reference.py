@@ -9,9 +9,10 @@ Every vertex subset of a class graph is described up to symmetry by one
     FULL  every vertex selected
 
 ``reference_band_poly`` enumerates every band assignment outright, keeps the
-dominating ones and sums their band weights.  It reads the class graph's
-``adjacency`` and ``is_clique``, which the class engine's up-set count does
-not, and shares no code with it, so the tests compare the two.
+dominating ones and sums their band weights.  It derives adjacency from the
+class divisors itself (classes d and e are joined when n | d*e, and class d
+is a clique when n | d^2) rather than reading ``ClassGraph.neighbors``, and
+shares no code with the class engine, so the tests compare the two.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ def pattern_valid(pattern: Sequence[Band], cg: ClassGraph,
             f"pattern has {len(pattern)} bands for {len(cg.classes)} classes")
     occ = [band_occupies(b) for b in pattern]
     for i, cls in enumerate(cg.classes):
-        hit = any(cg.adjacency[i][j] and occ[j] for j in range(len(pattern)))
+        hit = any(occ[j] and (cls.divisor * other.divisor) % cg.n == 0
+                  for j, other in enumerate(cg.classes) if j != i)
+        is_clique = (cls.divisor * cls.divisor) % cg.n == 0
         band = pattern[i]
         if not occ[i]:
             if not hit:
@@ -88,12 +91,12 @@ def pattern_valid(pattern: Sequence[Band], cg: ClassGraph,
         if kind is DominationKind.ORDINARY:
             # Occupied, unhit, no internal edges: unselected members would be
             # undominated, so the class must be fully selected.
-            if not hit and not cls.is_clique and band is not Band.FULL:
+            if not hit and not is_clique and band is not Band.FULL:
                 return False
         else:
             if hit:
                 continue
-            if not (cls.is_clique and cls.size >= 2):
+            if not (is_clique and cls.size >= 2):
                 return False
             if band is Band.ONE:
                 return False

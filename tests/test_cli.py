@@ -209,6 +209,32 @@ def test_table_text():
     assert "Dt(1)" in res.stdout.splitlines()[0]
 
 
+def test_prints_counts_past_default_digit_limit():
+    # |V| = 15 013: D(1) has over 4 300 digits, the interpreter's default
+    # cap on int-to-str conversion.
+    res = run_cli("table", "30026", "30026")
+    assert res.returncode == 0, res.stderr
+    row = res.stdout.splitlines()[1].split()
+    assert row[:3] == ["30026", "2p", "15013"]
+    assert len(row[-1]) > 4300
+
+
+def test_verify_over_vertex_limit_skips_every_method():
+    res = run_cli("verify", "200006", "--json")
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    skipped = {m: entry["skipped"] for m, entry in payload["methods"].items()}
+    assert skipped == {
+        "brute": "100003 vertices exceeds the brute-force limit of 26",
+        "classes": ("n=200006 has 100003 vertices, over the class-engine "
+                    "limit of 50000"),
+        "closed": ("n=200006 has 100003 vertices, over the closed-form "
+                   "limit of 50000"),
+    }
+    assert payload["agreement"]["compared"] == []
+    assert payload["gamma"] is None and payload["gamma_total"] is None
+
+
 def test_table_empty_range_is_usage_error():
     res = run_cli("table", "9", "4")
     assert res.returncode == 1

@@ -1,7 +1,5 @@
 """Counting engines: brute force, band semantics, and the class engine."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,7 @@ from zdpoly.domcount import (DominationKind, brute_force_poly,
                              gamma_from_poly, resolve_brute_limit)
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial, binomial_expand
-from zdpoly.zdgraph import (ClassGraph, VertexGraph, build_class_graph,
+from zdpoly.zdgraph import (VERTEX_LIMIT, VertexGraph, build_class_graph,
                             expand_vertex_graph)
 
 ORD = DominationKind.ORDINARY
@@ -120,20 +118,6 @@ def test_no_empty_set_dominates_nonempty_graph():
         assert class_engine_poly(cg, TOT).coefficient(0) == 0
 
 
-def test_singleton_clique_flag_is_indifferent():
-    # one-vertex classes count identically with the flag set either way
-    for n, idx in ((12, 3), (8, 1), (30, 5)):
-        cg = build_class_graph(n)
-        cls = cg.classes[idx]
-        assert cls.size == 1
-        flipped_classes = list(cg.classes)
-        flipped_classes[idx] = replace(cls, is_clique=not cls.is_clique)
-        flipped = ClassGraph(n=cg.n, classes=tuple(flipped_classes),
-                             adjacency=cg.adjacency)
-        for kind in (ORD, TOT):
-            assert class_engine_poly(flipped, kind) == class_engine_poly(cg, kind)
-
-
 def test_brute_limit_enforced():
     vg = expand_vertex_graph(build_class_graph(45))  # 20 vertices
     with pytest.raises(CapacityError):
@@ -220,7 +204,7 @@ def test_engine_class_capacity():
         class_engine_poly(cg, TOT)
     assert str(err.value) == (
         f"n=720720 has 582479 vertices, over the class-engine limit of "
-        f"{dc.ENGINE_VERTEX_LIMIT}")
+        f"{VERTEX_LIMIT}")
 
 
 def test_engine_beyond_sweep_reach():

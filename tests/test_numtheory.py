@@ -21,8 +21,9 @@ def test_factorize_reconstructs_n():
         for p, e in f.factors:
             prod *= p ** e
         assert prod == n
-        assert list(f.primes) == sorted(f.primes)
-        assert all(e >= 1 for e in f.exponents)
+        primes = [p for p, _ in f.factors]
+        assert primes == sorted(set(primes))
+        assert all(e >= 1 for _, e in f.factors)
 
 
 def test_factorize_primes_are_prime():
@@ -31,10 +32,10 @@ def test_factorize_primes_are_prime():
             assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def test_is_prime_flag():
+def test_prime_has_one_factor():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(2, 31):
-        assert factorize(n).is_prime == (n in primes)
+        assert (factorize(n).factors == ((n, 1),)) == (n in primes)
 
 
 def test_proper_divisors_basic():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zdpoly.domcount import gamma_from_poly
 from zdpoly.polyring import (ONE, X, ZERO, Polynomial, binomial_expand,
-                             evaluate_at, min_positive_degree, render)
+                             evaluate_at, render)
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 
@@ -96,11 +97,13 @@ def test_binomial_expand():
 
 
 def test_min_positive_degree():
-    assert min_positive_degree(ZERO) is None
-    assert min_positive_degree(ONE) is None
-    assert min_positive_degree(Polynomial([7])) is None
-    assert min_positive_degree(Polynomial([0, 0, 3, 1])) == 2
-    assert min_positive_degree(Polynomial([4, 5])) == 1
+    # The least positive degree with a nonzero coefficient is read by
+    # gamma_from_poly; constants and ZERO have none.
+    assert gamma_from_poly(ZERO) is None
+    assert gamma_from_poly(ONE) is None
+    assert gamma_from_poly(Polynomial([7])) is None
+    assert gamma_from_poly(Polynomial([0, 0, 3, 1])) == 2
+    assert gamma_from_poly(Polynomial([4, 5])) == 1
 
 
 def test_shift():

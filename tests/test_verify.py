@@ -103,6 +103,19 @@ def test_compute_dispatches_each_method(monkeypatch):
         compute(METHOD_BRUTE, build_class_graph(90), ORD, brute_limit=100)
 
 
+def test_closed_form_refused_over_vertex_limit(monkeypatch):
+    # n = 2 * 100003 is a 2p graph of 100 003 vertices: over the shared
+    # limit, so the formula must not run.
+    def no_formula(n, tag):
+        raise AssertionError("ran a closed form over the vertex limit")
+
+    monkeypatch.setattr(verify, "closed_domination", no_formula)
+    with pytest.raises(CapacityError) as err:
+        compute(METHOD_CLOSED, build_class_graph(200006), ORD)
+    assert str(err.value) == ("n=200006 has 100003 vertices, over the "
+                              "closed-form limit of 50000")
+
+
 def test_mismatch_lists_every_running_method():
     rep = run_verification(45, ORD)
     assert rep.status == STATUS_MISMATCH

@@ -4,10 +4,15 @@ from math import gcd
 
 import pytest
 
+from zdpoly import zdgraph
 from zdpoly.errors import CapacityError
 from zdpoly.numtheory import totient
 from zdpoly.zdgraph import (build_class_graph, edge_count, edge_list,
                             expand_vertex_graph, export_dot)
+
+
+def cliques(cg):
+    return [bool(mask >> i & 1) for i, mask in enumerate(cg.neighbors)]
 
 
 def test_build_rejects_small():
@@ -19,7 +24,8 @@ def test_class_graph_12():
     cg = build_class_graph(12)
     assert [c.divisor for c in cg.classes] == [2, 3, 4, 6]
     assert [c.size for c in cg.classes] == [2, 2, 2, 1]
-    assert [c.is_clique for c in cg.classes] == [False, False, False, True]
+    assert cg.neighbors == (0b1000, 0b0100, 0b1010, 0b1101)
+    assert cliques(cg) == [False, False, False, True]
     assert cg.adjacency_pairs() == [(0, 3), (1, 2), (2, 3)]
     assert cg.vertex_count == 7
     assert edge_count(cg) == 8
@@ -27,8 +33,10 @@ def test_class_graph_12():
 
 def test_class_graph_75():
     cg = build_class_graph(75)
-    assert [(c.divisor, c.size, c.is_clique) for c in cg.classes] == [
-        (3, 20, False), (5, 8, False), (15, 4, True), (25, 2, False)]
+    assert [(c.divisor, c.size) for c in cg.classes] == [
+        (3, 20), (5, 8), (15, 4), (25, 2)]
+    assert cg.neighbors == (0b1000, 0b0100, 0b1110, 0b0101)
+    assert cliques(cg) == [False, False, True, False]
     assert cg.adjacency_pairs() == [(0, 3), (1, 2), (2, 3)]
     assert cg.vertex_count == 34
     assert edge_count(cg) == 86
@@ -36,11 +44,11 @@ def test_class_graph_75():
 
 def test_clique_rule():
     cg8 = build_class_graph(8)
-    assert [(c.divisor, c.is_clique) for c in cg8.classes] == [
-        (2, False), (4, True)]
+    assert [c.divisor for c in cg8.classes] == [2, 4]
+    assert cliques(cg8) == [False, True]
     cg16 = build_class_graph(16)
-    assert [(c.divisor, c.is_clique) for c in cg16.classes] == [
-        (2, False), (4, True), (8, True)]
+    assert [c.divisor for c in cg16.classes] == [2, 4, 8]
+    assert cliques(cg16) == [False, True, True]
 
 
 def test_prime_gives_empty_graph():
@@ -58,12 +66,23 @@ def test_adjacency_matrix_invariants():
         cg = build_class_graph(n)
         k = len(cg.classes)
         for i in range(k):
-            assert cg.adjacency[i][i] is False
             for j in range(k):
-                assert cg.adjacency[i][j] == cg.adjacency[j][i]
-                assert cg.adjacency[i][j] == (
-                    i != j
-                    and (cg.classes[i].divisor * cg.classes[j].divisor) % n == 0)
+                assert (cg.neighbors[i] >> j & 1) == (cg.neighbors[j] >> i & 1)
+        assert cg.adjacency_pairs() == [
+            (i, j) for i in range(k) for j in range(i + 1, k)
+            if (cg.classes[i].divisor * cg.classes[j].divisor) % n == 0]
+
+
+def test_neighbor_masks_pin_rule_and_partner():
+    for n in (8, 12, 30, 75, 100, 360):
+        cg = build_class_graph(n)
+        divisors = [c.divisor for c in cg.classes]
+        for i, di in enumerate(divisors):
+            assert cg.neighbors[i] == sum(
+                1 << j for j, dj in enumerate(divisors) if (di * dj) % n == 0)
+            # the lowest neighbour is the partner class n/d_i
+            low = cg.neighbors[i] & -cg.neighbors[i]
+            assert divisors[low.bit_length() - 1] == n // di
 
 
 def test_expansion_matches_direct_definition():
@@ -107,11 +126,15 @@ def test_expansion_classes_are_twins():
             assert len(outside) == 1
 
 
-def test_expand_limit():
+def test_expand_limit(monkeypatch):
     cg = build_class_graph(30)
-    with pytest.raises(CapacityError):
-        expand_vertex_graph(cg, limit=5)
-    assert expand_vertex_graph(cg, limit=21).n == 30
+    monkeypatch.setattr(zdgraph, "VERTEX_LIMIT", 21)
+    assert expand_vertex_graph(cg).n == 30
+    monkeypatch.setattr(zdgraph, "VERTEX_LIMIT", 20)
+    with pytest.raises(CapacityError) as err:
+        expand_vertex_graph(cg)
+    assert str(err.value) == ("n=30 expands to 21 vertices, above the "
+                              "limit of 20")
 
 
 def test_export_dot_exact():
