@@ -18,10 +18,9 @@ import argparse
 import json
 import sys
 
-from .domcount import DominationKind, class_engine_poly, gamma_from_poly
+from .domcount import DominationKind, class_engine_count, gamma_from_poly
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family, factorize
-from .polyring import evaluate_at
 from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
                      format_report, report_to_dict, run_verification)
 from .zdgraph import (build_class_graph, edge_count, edge_list,
@@ -122,8 +121,8 @@ def cmd_graph(args) -> int:
 def cmd_gamma(args) -> int:
     n = _require_modulus(args.n)
     cg = build_class_graph(n)
-    gamma = gamma_from_poly(class_engine_poly(cg, DominationKind.ORDINARY))
-    gamma_total = gamma_from_poly(class_engine_poly(cg, DominationKind.TOTAL))
+    gamma, _ = class_engine_count(cg, DominationKind.ORDINARY)
+    gamma_total, _ = class_engine_count(cg, DominationKind.TOTAL)
     if args.json:
         print(json.dumps(
             {"n": n, "gamma": gamma, "gamma_total": gamma_total}))
@@ -146,19 +145,19 @@ def cmd_table(args) -> int:
         cg = build_class_graph(n)
         if cg.vertex_count == 0:
             continue
-        d_poly = class_engine_poly(cg, DominationKind.ORDINARY)
-        dt_poly = class_engine_poly(cg, DominationKind.TOTAL)
-        chosen = dt_poly if kind is DominationKind.TOTAL else d_poly
+        gamma, d_count = class_engine_count(cg, DominationKind.ORDINARY)
+        gamma_total, dt_count = class_engine_count(cg, DominationKind.TOTAL)
+        count = dt_count if kind is DominationKind.TOTAL else d_count
         tag = classify_family(factorize(n))
         rows.append({
             "n": n,
             "family": tag.label,
             "vertices": cg.vertex_count,
             "edges": edge_count(cg),
-            "gamma": gamma_from_poly(d_poly),
-            "gamma_total": gamma_from_poly(dt_poly),
+            "gamma": gamma,
+            "gamma_total": gamma_total,
             "kind": kind.value,
-            "value_at_1": str(evaluate_at(chosen, 1)),
+            "value_at_1": str(count),
         })
     if args.json:
         print(json.dumps(rows))

@@ -27,6 +27,16 @@ needs every class covered, so U is all classes and A is the primes p | n:
 since class n/p has p - 1 vertices.  A clique class covered only by itself
 also needs a second selected vertex; that fails only when n = p^alpha and
 the set is one vertex of the lone class n/p, so D_t loses (p-1)*x there.
+
+``class_engine_count`` reads the domination number and the count D(1) from
+the same up-set keys (shift, free size, generator sizes) without building a
+polynomial.  gamma is the least positive shift + |gens| over the keys, since
+every term's lowest coefficient is positive and no coefficient is negative.
+D(1) is the sum of count * 2^free * prod(2^m - 1), less p - 1 for D_t when
+n = p^alpha; that loss takes all of the x coefficient, so gamma_t is then 2,
+or undefined when n = 4 (one vertex).  So ``gamma`` and ``table`` pay only
+for enumerating the up-sets.
+
 The band reference in ``tests/band_reference.py`` enumerates per-class
 occupancy bands outright and shares no code with this engine.
 """
@@ -45,10 +55,13 @@ from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 DEFAULT_BRUTE_LIMIT = 26
 BRUTE_LIMIT_ENV_VAR = "ZDPOLY_BRUTE_LIMIT"
 # Most up-sets (antichains of proper divisors) the class engine takes on for
-# D.  Counting them is cheap; assembling their terms is not, so the engine
-# refuses before assembly.  n = 2520 has 59 540 up-sets and takes about
-# 11 s, n = 5040 has 307 958.  Assembly also grows with |V|: n = 9828 has
-# as many up-sets as 2520 but 7 235 vertices, and takes about 9 minutes.
+# D, whether it builds the polynomial or only reads gamma and D(1) from the
+# keys.  Enumerating them is cheap, and it is all class_engine_count pays:
+# about 0.5 s for the 59 540 up-sets of n = 2520.  Assembling their
+# polynomial is not, so the engine refuses before assembly:
+# class_engine_poly takes about 11 s at n = 2520, and assembly grows with
+# |V| too (n = 9828 has as many up-sets but 7 235 vertices, and takes about
+# 9 minutes).  n = 5040 has 307 958 up-sets.
 ENGINE_UPSET_BUDGET = 60_000
 
 # Most vertices brute force takes on whatever the limit: 2^63 subsets is
@@ -154,17 +167,48 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
 
 
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
-    """Counting polynomial of ``cg``, a graph from ``build_class_graph``.
+    """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
+    the sum of the up-set terms of ``_engine_terms``.  Raises CapacityError
+    before any polynomial is built, as ``_engine_terms`` does."""
+    terms, drop = _engine_terms(cg, kind)
+    return _assemble(terms, cg.vertex_count) - Polynomial((0, drop))
+
+
+def class_engine_count(cg: ClassGraph,
+                       kind: DominationKind) -> tuple[int | None, int]:
+    """(gamma, count) of ``cg``: ``gamma_from_poly`` and the value at 1 of
+    ``class_engine_poly(cg, kind)``, read from the up-set keys of
+    ``_engine_terms`` by the rules in the module docstring, without building
+    a polynomial.  Raises CapacityError as ``class_engine_poly`` does."""
+    terms, drop = _engine_terms(cg, kind)
+    count = -drop
+    for (_, free, gens), c in terms.items():
+        for m in gens:
+            c *= (1 << m) - 1
+        count += c << free
+    if drop:
+        return (2 if cg.vertex_count >= 2 else None), count
+    gamma = min((shift + len(gens) for shift, _, gens in terms
+                 if shift + len(gens)), default=None)
+    return gamma, count
+
+
+def _engine_terms(cg, kind):
+    """(terms, drop) for ``cg``: the up-set key table
+    {(shift, free size, sorted generator sizes): count} whose terms sum to
+    the counting polynomial plus drop * x, where drop is the p - 1 that D_t
+    loses when n = p^alpha and 0 otherwise.
 
     The lowest bit of ``neighbors[i]`` is the partner class n/d_i, and
     ``neighbors[partner[j]]`` is the up-set of class j.  Each up-set
     contributes the product of the class weights in the module docstring.
-    Before any polynomial is built, CapacityError is raised past
-    ENGINE_UPSET_BUDGET up-sets (D only) or zdgraph.VERTEX_LIMIT vertices.
+    Raises CapacityError past ENGINE_UPSET_BUDGET up-sets (D only), then
+    past zdgraph.VERTEX_LIMIT vertices.
     """
     sizes = [c.size for c in cg.classes]
     partner = [(mask & -mask).bit_length() - 1 for mask in cg.neighbors]
     up = [cg.neighbors[p] for p in partner]
+    drop = 0
     if kind is DominationKind.TOTAL:
         # The minimal classes are the primes p | n, the classes in no other
         # class's up-set; their partners n/p each have to be occupied.
@@ -172,13 +216,12 @@ def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
         for j, upset in enumerate(up):
             primes &= ~upset | 1 << j
         terms = {_term(primes, every, partner, sizes): 1}
+        if primes.bit_count() == 1:
+            drop = sizes[partner[primes.bit_length() - 1]]
     else:
         terms = _upset_terms(cg.n, up, partner, sizes)
     check_vertex_limit(cg, "class-engine")
-    poly = _assemble(terms, sum(sizes))
-    if kind is DominationKind.TOTAL and primes.bit_count() == 1:
-        poly -= Polynomial((0, sizes[partner[primes.bit_length() - 1]]))
-    return poly
+    return terms, drop
 
 
 def _upset_terms(n, up, partner, sizes):

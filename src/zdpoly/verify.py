@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .closedform import closed_domination, closed_total_domination
 from .domcount import (DominationKind, brute_force_poly, check_brute_size,
-                       class_engine_poly, gamma_from_poly,
-                       resolve_brute_limit)
+                       class_engine_count, class_engine_poly,
+                       gamma_from_poly, resolve_brute_limit)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import Family, FamilyTag, classify_family, factorize
 from .polyring import Polynomial
@@ -105,17 +105,19 @@ def _timed(fn):
 def _gamma_pair(cg: ClassGraph, kind: DominationKind,
                 outcomes: dict[str, MethodOutcome]):
     """Domination numbers for the report, from the class engine only, as
-    in ``gamma`` and ``table``; None where the engine was refused."""
+    in ``gamma`` and ``table``: read from the engine's polynomial for
+    ``kind`` and from its up-set keys for the other kind; None where the
+    engine was refused."""
     gammas: dict[DominationKind, int | None] = {}
     for k in DominationKind:
         if k is kind:
             poly = outcomes[METHOD_CLASSES].polynomial
+            gammas[k] = None if poly is None else gamma_from_poly(poly)
         else:
             try:
-                poly = class_engine_poly(cg, k)
+                gammas[k], _ = class_engine_count(cg, k)
             except CapacityError:
-                poly = None
-        gammas[k] = None if poly is None else gamma_from_poly(poly)
+                gammas[k] = None
     return gammas[DominationKind.ORDINARY], gammas[DominationKind.TOTAL]
 
 

@@ -1,8 +1,10 @@
 """End-to-end command-line tests through subprocess: output formats, exit
 codes, environment handling, and byte-stable JSON."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import zdpoly
+from zdpoly import cli, domcount, verify
+from zdpoly.domcount import DominationKind
 
 CMD = [sys.executable, "-m", "zdpoly.cli"]
 # The child process imports the same zdpoly that this test process imported.
@@ -207,6 +211,55 @@ def test_table_text():
 
     res = run_cli("table", "2", "20", "--total")
     assert "Dt(1)" in res.stdout.splitlines()[0]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of stdout recorded while `table` still built both polynomials of
+# every row, so they pin the numbers it now reads from the up-set keys.
+@pytest.mark.parametrize("argv, digest", [
+    (("table", "2", "300"),
+     "08f37307566512aeb38acd266ed84f8de544483a976fa125e1c83bc71ca20ea7"),
+    (("table", "2", "300", "--total", "--json"),
+     "2484b5fb2e697e8aba4f83a690b13377b6cd8d874e48e78d598093ffbaf73762"),
+], ids=["text", "total-json"])
+def test_table_output_pinned(argv, digest):
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
+    assert _sha256(res.stdout) == digest
+
+
+@pytest.mark.parametrize("argv, refused, digest", [
+    (("table", "2", "60"), tuple(DominationKind),
+     "d280d78dbe224ecf7610f70e8165478308aac39c4bceaf188ee3a8866a37a5e7"),
+    (("gamma", "2520"), tuple(DominationKind),
+     "a1b72f88ce97749da14056a4ba5de8777fc35fb30f8921ed9978500cd6bbbf1e"),
+    # verify builds the polynomial of the kind it compares, and reads only
+    # gamma of the other kind.  Digest with the [ ... ms] timings blanked.
+    (("verify", "45", "--total"), (DominationKind.ORDINARY,),
+     "fe2fa6027e1412b68b941e6f8ecf5b2b2c6a092728344cba1c89b54775e62f7b"),
+], ids=["table", "gamma", "verify"])
+def test_numbers_read_without_polynomials(monkeypatch, capsys, argv, refused,
+                                          digest):
+    """gamma, table and verify's other kind print what they printed while
+    they built polynomials, with the polynomial refused for those kinds."""
+    real = domcount.class_engine_poly
+
+    def engine(cg, kind):
+        if kind in refused:
+            raise AssertionError(f"built the {kind.value} polynomial")
+        return real(cg, kind)
+
+    # cli is patched as well, so that a command calling the engine through
+    # its own import is caught too.
+    for module in (cli, domcount, verify):
+        monkeypatch.setattr(module, "class_engine_poly", engine,
+                            raising=False)
+    assert cli.main(list(argv)) == 0
+    out = re.sub(r"\[\s*[0-9.]+ ms\]", "[ms]", capsys.readouterr().out)
+    assert _sha256(out) == digest
 
 
 def test_prints_counts_past_default_digit_limit():

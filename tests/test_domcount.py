@@ -8,8 +8,9 @@ from band_reference import (Band, band_occupies, band_weight, bands_for_size,
 
 import zdpoly.domcount as dc
 from zdpoly.domcount import (DominationKind, brute_force_poly,
-                             check_brute_size, class_engine_poly,
-                             gamma_from_poly, resolve_brute_limit)
+                             check_brute_size, class_engine_count,
+                             class_engine_poly, gamma_from_poly,
+                             resolve_brute_limit)
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial, binomial_expand
 from zdpoly.zdgraph import (VERTEX_LIMIT, VertexGraph, build_class_graph,
@@ -192,19 +193,49 @@ def test_resolve_brute_limit(monkeypatch):
 
 def test_engine_class_capacity():
     # 720720 = 2^4 3^2 5 7 11 13 has 238 classes, far more up-sets than the
-    # budget, and 582 479 vertices; the engine refuses before assembly.
+    # budget, and 582 479 vertices; the engine refuses before assembly,
+    # and reading only gamma and the count is refused the same way.
     cg = build_class_graph(720720)
     budget = dc.ENGINE_UPSET_BUDGET
-    with pytest.raises(CapacityError) as err:
-        class_engine_poly(cg, ORD)
-    assert str(err.value) == (
-        f"counting up-sets of divisor classes for n=720720 reached "
-        f"{budget + 1}, over the class-engine budget of {budget}")
-    with pytest.raises(CapacityError) as err:
-        class_engine_poly(cg, TOT)
-    assert str(err.value) == (
-        f"n=720720 has 582479 vertices, over the class-engine limit of "
-        f"{VERTEX_LIMIT}")
+    for engine in (class_engine_poly, class_engine_count):
+        with pytest.raises(CapacityError) as err:
+            engine(cg, ORD)
+        assert str(err.value) == (
+            f"counting up-sets of divisor classes for n=720720 reached "
+            f"{budget + 1}, over the class-engine budget of {budget}")
+        with pytest.raises(CapacityError) as err:
+            engine(cg, TOT)
+        assert str(err.value) == (
+            f"n=720720 has 582479 vertices, over the class-engine limit of "
+            f"{VERTEX_LIMIT}")
+
+
+def test_engine_count_reads_the_polynomial():
+    """gamma and the count read from the up-set keys equal gamma_from_poly
+    and the value at 1 of the engine's polynomial, primes included."""
+    for n in range(2, 501):
+        cg = build_class_graph(n)
+        for kind in (ORD, TOT):
+            p = class_engine_poly(cg, kind)
+            assert class_engine_count(cg, kind) == (gamma_from_poly(p), p(1)), (n, kind)
+
+
+@pytest.mark.parametrize("n, ordinary, total", [
+    # n = p^alpha: D_t loses its whole x coefficient, so gamma_t is 2, or
+    # undefined for the one vertex of n = 4.
+    (4, (1, 1), (None, 0)),
+    (8, (1, 5), (2, 3)),
+    (9, (1, 3), (2, 1)),
+    (27, (1, 193), (2, 190)),
+    # Vertex 128 is joined to all 126 others, so D_t(1) = 2^126 - 1.
+    (2 ** 8, (1, 85070591730234615869302416372014252287), (2, 2 ** 126 - 1)),
+    # A prime has an empty graph: only the empty set, and no gamma.
+    (7, (None, 1), (None, 1)),
+])
+def test_engine_count_edge_cases(n, ordinary, total):
+    cg = build_class_graph(n)
+    assert class_engine_count(cg, ORD) == ordinary
+    assert class_engine_count(cg, TOT) == total
 
 
 def test_engine_beyond_sweep_reach():
