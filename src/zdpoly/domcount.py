@@ -2,7 +2,14 @@
 
 ``brute_force_poly`` enumerates all 2^|V| vertex subsets of an expanded graph
 and histograms the dominating ones by size — slow but unarguable, so it serves
-as the ground truth for everything else.
+as the ground truth for everything else.  It reads only the ``VertexGraph``.
+It splits the vertices into the first 16 (low) and the rest (high).  A low
+subset S completes a high subset H exactly when S meets N(v) ∩ low for every
+vertex v that H leaves uncovered, so the size histogram of the completing S
+depends only on the distinct low neighbourhoods among those v.  It is
+computed once per such set of neighbourhoods (one AND per neighbourhood, 17
+popcounts of 2^16 bits) and shifted by |H| for each of the 2^(|V|-16) high
+subsets.
 
 ``class_engine_poly`` works on the divisor classes instead.  Class d (the
 vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e,
@@ -69,7 +76,11 @@ ENGINE_UPSET_BUDGET = 60_000
 # ends.
 BRUTE_CEILING = 63
 
-_BRUTE_LOW_BITS = 20
+# How many vertices brute force treats as low: their subsets are the bit
+# positions of 2^16-bit bitsets, and it loops over subsets of the rest in
+# Python.  14 is slower, because that loop then dominates; 20 holds about
+# 6 MB of tables where 16 holds 0.4 MB.
+_BRUTE_LOW_BITS = 16
 
 
 class DominationKind(Enum):
@@ -123,13 +134,19 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     """Count dominating sets (or total dominating sets) of every size by
     direct enumeration of all vertex subsets.
 
-    A subset S of the low (first 20) vertices is a bit position in Python-int
-    bitsets of 2^low bits: bit S of ``hit[v]`` is set when S covers vertex v,
-    and bit S of ``sized[s]`` when |S| = s.  For each subset of the remaining
-    high vertices, ANDing the ``hit`` masks of the vertices it leaves
-    uncovered marks the low subsets that complete a dominating set, counted
-    by size with one popcount each.  Cost is O(2^|V|) bit operations.
-    Refuses graphs above ``limit`` vertices or BRUTE_CEILING.
+    A subset S of the low (first 16) vertices is a bit position in Python-int
+    bitsets of 2^low bits.  Vertices are grouped by their low neighbourhood
+    L = N(v) ∩ low: bit S of ``hit[g]`` is set when S meets group g's L, and
+    bit S of ``sized[s]`` when |S| = s.  A subset H of the remaining high
+    vertices leaves some vertices uncovered; S completes H to a dominating
+    set exactly when it meets the L of each of them, so the groups with an
+    uncovered member (the key) decide the answer.  Grouping is exact because
+    vertices of one group pose the same condition on S, whatever their high
+    neighbours.  For each new key, ANDing its ``hit`` masks marks the
+    completing low subsets, counted by size with one popcount each; that
+    histogram is cached and added shifted by |H|.  Cost is 2^(|V|-16) high
+    subsets plus one AND chain and 17 popcounts of 2^16 bits per distinct
+    key.  Refuses graphs above ``limit`` vertices or BRUTE_CEILING.
     """
     nv = len(vg.labels)
     check_brute_size(nv, resolve_brute_limit(limit))
@@ -138,31 +155,46 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     else:
         nbh = [c & ~(1 << u) for u, c in enumerate(vg.closed)]
     low = min(nv, _BRUTE_LOW_BITS)
-    hit = [0] * nv
+    low_mask = (1 << low) - 1
+    groups = {}  # low neighbourhood -> bitmask of the vertices that have it
+    for v in range(nv):
+        low_nbh = nbh[v] & low_mask
+        groups[low_nbh] = groups.get(low_nbh, 0) | 1 << v
+    members = list(groups.values())
+    hit = [0] * len(groups)
     sized = [1] + [0] * low
     for b in range(low):
         half = 1 << b
         ones = (1 << half) - 1
-        for v in range(nv):
-            hit[v] |= (ones if nbh[v] >> b & 1 else hit[v]) << half
+        for g, low_nbh in enumerate(groups):
+            hit[g] |= (ones if low_nbh >> b & 1 else hit[g]) << half
         for s in range(b + 1, 0, -1):
             sized[s] |= sized[s - 1] << half
     full = (1 << (1 << low)) - 1
     counts = [0] * (nv + 1)
     high_nbh = nbh[low:]
+    histograms = {}
     for high in range(1 << (nv - low)):
         covered = 0
         h = high
         while h:
             covered |= high_nbh[(h & -h).bit_length() - 1]
             h &= h - 1
-        dominated = full
-        for v in range(nv):
-            if not covered >> v & 1:
-                dominated &= hit[v]
+        key = 0
+        for g, vertices in enumerate(members):
+            if vertices & ~covered:
+                key |= 1 << g
+        histogram = histograms.get(key)
+        if histogram is None:
+            dominated = full
+            for g, low_hit in enumerate(hit):
+                if key >> g & 1:
+                    dominated &= low_hit
+            histogram = [(dominated & mask).bit_count() for mask in sized]
+            histograms[key] = histogram
         base_size = high.bit_count()
-        for s, mask in enumerate(sized):
-            counts[s + base_size] += (dominated & mask).bit_count()
+        for s, c in enumerate(histogram):
+            counts[s + base_size] += c
     return Polynomial(counts)
 
 

@@ -87,11 +87,12 @@ def test_engine_matches_band_reference():
 
 
 def test_engine_matches_brute_small():
-    # |V| <= 26 holds for no n > 729; above 20 vertices the high half runs
-    for n, cg in composite_class_graphs(4, 729, max_vertices=26):
+    # |V| <= 30 holds for no n > 961; above 16 vertices the high half runs
+    for n, cg in composite_class_graphs(4, 961, max_vertices=30):
         vg = expand_vertex_graph(cg)
         for kind in (ORD, TOT):
-            assert brute_force_poly(vg, kind) == class_engine_poly(cg, kind), (n, kind)
+            assert (brute_force_poly(vg, kind, limit=30)
+                    == class_engine_poly(cg, kind)), (n, kind)
 
 
 def test_empty_graph_counts_one_empty_set():
@@ -145,7 +146,7 @@ def _plain_count(closed, kind):
 
 @st.composite
 def vertex_graphs(draw):
-    """Random simple graphs of up to 12 vertices, twin classes or not."""
+    """Random simple graphs of up to 12 vertices, each edge drawn alone."""
     nv = draw(st.integers(0, 12))
     closed = [1 << v for v in range(nv)]
     for u in range(nv):
@@ -160,6 +161,44 @@ def vertex_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(vg=vertex_graphs())
 def test_brute_matches_plain_count(vg, low_bits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "_BRUTE_LOW_BITS", low_bits)
+        for kind in (ORD, TOT):
+            assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
+
+
+@st.composite
+def twin_graphs(draw):
+    """Graphs of up to 14 vertices rich in twins: each vertex of a random
+    base graph of 2-5 vertices becomes a class of 1-4 vertices, an
+    independent set (open twins) or a clique (closed twins), joined to the
+    classes of its base neighbours; vertices are then shuffled so that twins
+    fall on both sides of the brute-force split."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5)
+                 .filter(lambda sizes: sum(sizes) <= 14))
+    k = len(sizes)
+    joined = {(a, b): draw(st.booleans())
+              for a in range(k) for b in range(a + 1, k)}
+    cliques = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    owner = [c for c, m in enumerate(sizes) for _ in range(m)]
+    nv = len(owner)
+    place = draw(st.permutations(range(nv)))
+    closed = [0] * nv
+    for u in range(nv):
+        for v in range(nv):
+            a, b = sorted((owner[u], owner[v]))
+            if u == v or (cliques[a] if a == b else joined[a, b]):
+                closed[place[u]] |= 1 << place[v]
+    return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
+
+
+@pytest.mark.parametrize("low_bits", [dc._BRUTE_LOW_BITS, 3])
+@settings(max_examples=60, deadline=None)
+@given(vg=twin_graphs())
+def test_brute_matches_plain_count_on_twins(vg, low_bits):
+    """Twins of one class often share their low neighbourhood, so many high
+    subsets pose the same constraint on the low subsets and brute force
+    reuses its size histograms."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dc, "_BRUTE_LOW_BITS", low_bits)
         for kind in (ORD, TOT):
