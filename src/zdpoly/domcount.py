@@ -35,6 +35,13 @@ since class n/p has p - 1 vertices.  A clique class covered only by itself
 also needs a second selected vertex; that fails only when n = p^alpha and
 the set is one vertex of the lone class n/p, so D_t loses (p-1)*x there.
 
+The terms are summed with no polynomial product.  prod((1+x)^m - 1) over
+the generator sizes multiplies out to 2^|gens| signed powers (1+x)^E, with
+E = free + the sizes of a subset of the generators: the (1+x)-power form of
+D(G, x) = sum over W of (-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon,
+Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Each distinct row
+(1+x)^E is expanded once and added, times its signed count, at each shift.
+
 ``class_engine_count`` reads the domination number and the count D(1) from
 the same up-set keys (shift, free size, generator sizes) without building a
 polynomial.  gamma is the least positive shift + |gens| over the keys, since
@@ -53,10 +60,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from enum import Enum
-from itertools import groupby
 
 from .errors import CapacityError
-from .polyring import ONE, Polynomial, binomial_expand
+from .polyring import Polynomial, binomial_expand
 from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
 DEFAULT_BRUTE_LIMIT = 26
@@ -66,15 +72,15 @@ BRUTE_LIMIT_ENV_VAR = "ZDPOLY_BRUTE_LIMIT"
 # keys.  Enumerating them is cheap, and it is all class_engine_count pays:
 # about 0.5 s for the 59 540 up-sets of n = 2520.  Assembling their
 # polynomial is not, so the engine refuses before assembly:
-# class_engine_poly takes about 11 s at n = 2520, and assembly grows with
+# class_engine_poly takes about 4 s at n = 2520, and assembly grows with
 # |V| too (n = 9828 has as many up-sets but 7 235 vertices, and takes about
-# 9 minutes).  n = 5040 has 307 958 up-sets.
+# 60 s).  n = 5040 has 307 958 up-sets.
 ENGINE_UPSET_BUDGET = 60_000
 
-# Most vertices brute force takes on whatever the limit: 2^63 subsets is
-# far beyond any run, and a larger limit would only start a loop that never
-# ends.
-BRUTE_CEILING = 63
+# Most vertices brute force takes on whatever the limit.  The time doubles
+# with each vertex (per kind, 2-core Xeon, Python 3.11: 44-62 s at 39
+# vertices, n = 76), so 40 takes about two minutes and 45 about an hour.
+BRUTE_CEILING = 40
 
 # How many vertices brute force treats as low: their subsets are the bit
 # positions of 2^16-bit bitsets, and it loops over subsets of the rest in
@@ -303,25 +309,20 @@ def _term(gens, upset, partner, sizes):
 
 def _assemble(terms, nv):
     """Sum of count * x^shift * (1+x)^free * prod((1+x)^m - 1 for m in gens)
-    over the terms {(shift, free, gens): count}."""
-    items = sorted(terms.items(), key=lambda t: t[0][2])
-    return Polynomial(_fold(items, 0, nv))
-
-
-def _fold(items, depth, nv):
-    """Horner step on the trie of sorted generator tuples: every item here
-    shares gens[:depth].  Items whose gens end at depth are added outright;
-    the others are grouped by gens[depth] = m, folded one level deeper and
-    multiplied once by (1+x)^m - 1."""
+    over the terms {(shift, free, gens): count}, as binomial rows."""
+    rows = {}  # E -> {shift: signed count of x^shift * (1+x)^E}
+    for (shift, free, gens), count in terms.items():
+        powers = [(free, count)]
+        for m in gens:
+            powers = ([(e + m, c) for e, c in powers]
+                      + [(e, -c) for e, c in powers])
+        for e, c in powers:
+            rows.setdefault(e, Counter())[shift] += c
     acc = [0] * (nv + 1)
-    for head, group in groupby(items, lambda t: t[0][2][depth:depth + 1]):
-        if head:
-            below = Polynomial(_fold(list(group), depth + 1, nv))
-            for d, c in enumerate(
-                    (below * (binomial_expand(head[0]) - ONE)).coeffs):
-                acc[d] += c
-        else:
-            for (shift, free, _), count in group:
-                for d, c in enumerate(binomial_expand(free).coeffs, shift):
+    for e, shifts in rows.items():
+        row = binomial_expand(e).coeffs
+        for shift, count in shifts.items():
+            if count:
+                for d, c in enumerate(row, shift):
                     acc[d] += count * c
-    return acc
+    return Polynomial(acc)

@@ -1,5 +1,8 @@
 """Counting engines: brute force, band semantics, and the class engine."""
 
+import hashlib
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from band_reference import (Band, band_occupies, band_weight, bands_for_size,
                             pattern_valid, reference_band_poly)
 
 import zdpoly.domcount as dc
+from zdpoly import polyring
 from zdpoly.domcount import (DominationKind, brute_force_poly,
                              check_brute_size, class_engine_count,
                              class_engine_poly, gamma_from_poly,
@@ -125,12 +129,12 @@ def test_brute_limit_enforced():
     with pytest.raises(CapacityError):
         brute_force_poly(vg, ORD, limit=19)
     assert brute_force_poly(vg, ORD, limit=20).coefficient(0) == 0
-    # 63 vertices is the ceiling whatever the limit
-    check_brute_size(63, 100)
+    # 40 vertices is the ceiling whatever the limit
+    check_brute_size(40, 100)
     with pytest.raises(CapacityError) as err:
-        check_brute_size(64, 100)
-    assert str(err.value) == ("brute force would enumerate 2^64 vertex "
-                              "subsets and stops at 63 vertices")
+        check_brute_size(41, 100)
+    assert str(err.value) == ("brute force would enumerate 2^41 vertex "
+                              "subsets and stops at 40 vertices")
 
 
 def _plain_count(closed, kind):
@@ -249,13 +253,57 @@ def test_engine_class_capacity():
             f"{VERTEX_LIMIT}")
 
 
-def test_engine_count_reads_the_polynomial():
-    """gamma and the count read from the up-set keys equal gamma_from_poly
-    and the value at 1 of the engine's polynomial, primes included."""
-    for n in range(2, 501):
+# sha256 of the comma-joined coefficients of class_engine_poly, recorded
+# from the trie-fold assembly that multiplied polynomials: 1440 has 34
+# classes and many up-set keys, 2904 and 5982 were the fold's slow
+# products, 4096 is a prime power and 20014 = 2 * 10007 has 10 007 vertices.
+PINNED_DIGESTS = {
+    (1440, ORD): "917ac748afba5c31d9233b37bfd9ddf2b1eede5f79a85ede75005567013f31a1",
+    (1440, TOT): "23da25091ba5975e1e2dea06f22a97f627285c315e7bbf4a666859ad73b404c9",
+    (2904, ORD): "f9c3946fb9cd297b666aab4614f72b93f8f1073415f6a5e86df702955b34be82",
+    (2904, TOT): "f82ad35003ccd1a89599c2dedc9419b8b062499ce761c98fe579b5d30b9787ec",
+    (4096, ORD): "ed2f459115070d684c7091793c8131c2b79cce819a29e434368a651b5233d536",
+    (4096, TOT): "6c0fd97283123be881bd4f76a3d4130d5386fd4c6f63b2eb630681455190df16",
+    (5982, ORD): "393e640baa4d760cce2873f4acbaabd1acf32015ff980f4e371b2e3e14b98ec2",
+    (5982, TOT): "37393a914de35995552824675f518a47968bae171a2d5e3d30a851543cc02f53",
+    (20014, ORD): "4730a6126f32d3659966f15a0facdff2eca4b196c2b3b9217c94c3d0fc4419da",
+    (20014, TOT): "c0cf3645e167cf10a0a2b1a01f9dd4de5a642b9305efcc112702a07b090589b3",
+}
+PINNED_N = sorted({n for n, _ in PINNED_DIGESTS})
+
+
+@cache
+def _engine_poly(n, kind):
+    return class_engine_poly(build_class_graph(n), kind)
+
+
+@pytest.mark.parametrize("n", PINNED_N)
+def test_engine_poly_pinned(n):
+    for kind in (ORD, TOT):
+        coeffs = ",".join(map(str, _engine_poly(n, kind).coeffs))
+        assert (hashlib.sha256(coeffs.encode()).hexdigest()
+                == PINNED_DIGESTS[n, kind]), (n, kind)
+
+
+def test_engine_makes_no_polynomial_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("the class engine multiplied polynomials")
+
+    monkeypatch.setattr(polyring.Polynomial, "__mul__", no_product)
+    for n in (12, 75, 360, 5982):
         cg = build_class_graph(n)
         for kind in (ORD, TOT):
-            p = class_engine_poly(cg, kind)
+            class_engine_poly(cg, kind)
+
+
+def test_engine_count_reads_the_polynomial():
+    """gamma and the count read from the up-set keys equal gamma_from_poly
+    and the value at 1 of the engine's polynomial, primes included.  The
+    pinned n reach shapes the small n do not."""
+    for n in [*range(2, 501), *PINNED_N]:
+        cg = build_class_graph(n)
+        for kind in (ORD, TOT):
+            p = _engine_poly(n, kind)
             assert class_engine_count(cg, kind) == (gamma_from_poly(p), p(1)), (n, kind)
 
 

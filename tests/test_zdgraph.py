@@ -133,7 +133,7 @@ def test_expand_limit(monkeypatch):
     monkeypatch.setattr(zdgraph, "VERTEX_LIMIT", 20)
     with pytest.raises(CapacityError) as err:
         expand_vertex_graph(cg)
-    assert str(err.value) == ("n=30 expands to 21 vertices, above the "
+    assert str(err.value) == ("n=30 has 21 vertices, over the expansion "
                               "limit of 20")
 
 
