@@ -9,6 +9,8 @@ Commands:
 
 Exit codes: 0 success, 1 usage error, 2 verification mismatch under
 --strict, 3 computation over capacity, 4 no closed form for the family.
+Run as a program, a command whose stdout is closed early (``| head``) ends
+quietly on SIGPIPE where the platform has it, as other Unix tools do.
 JSON output is a single line on stdout; human notes go to stderr.
 """
 
@@ -16,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
-from .domcount import DominationKind, class_engine_count, gamma_from_poly
+from .domcount import (DEFAULT_BRUTE_LIMIT, DominationKind, class_engine_count,
+                       gamma_from_poly)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family, factorize
 from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
@@ -189,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--method", choices=("auto", *METHODS),
                         default="auto")
     p_poly.add_argument("--brute-limit", type=int, default=None,
-                        help="vertex cap for --method brute (default 26, or "
-                             "ZDPOLY_BRUTE_LIMIT)")
+                        help="vertex cap for --method brute "
+                             f"(default {DEFAULT_BRUTE_LIMIT})")
     p_poly.add_argument("--json", action="store_true")
     p_poly.set_defaults(func=cmd_poly)
 
@@ -227,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Counts past 4 300 digits (about 14 300 vertices) would otherwise fail
-    # to print; the function is missing before Python 3.10.7.
+    # Lift the 4 300-digit int-to-str cap (about 14 300 vertices) for this
+    # command only; the functions are missing before Python 3.10.7.
     if hasattr(sys, "set_int_max_str_digits"):
+        digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
@@ -242,9 +247,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"zdpoly: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(digits)
 
 
 def entrypoint() -> None:
+    # The process is ours, so a closed pipe ends it as SIGPIPE does, quietly.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

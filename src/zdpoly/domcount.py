@@ -57,7 +57,6 @@ occupancy bands outright and shares no code with this engine.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from enum import Enum
 
@@ -66,7 +65,6 @@ from .polyring import Polynomial, binomial_expand
 from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
 DEFAULT_BRUTE_LIMIT = 26
-BRUTE_LIMIT_ENV_VAR = "ZDPOLY_BRUTE_LIMIT"
 # Most up-sets (antichains of proper divisors) the class engine takes on for
 # D, whether it builds the polynomial or only reads gamma and D(1) from the
 # keys.  Enumerating them is cheap, and it is all class_engine_count pays:
@@ -95,24 +93,13 @@ class DominationKind(Enum):
 
 
 def resolve_brute_limit(flag: int | None = None) -> int:
-    """Effective brute-force vertex limit: explicit argument beats the
-    ZDPOLY_BRUTE_LIMIT environment variable, which beats the default.
-    Raises ValueError for a negative limit from either source."""
-    if flag is not None:
-        name, value = "brute-force limit", flag
-    else:
-        raw = os.environ.get(BRUTE_LIMIT_ENV_VAR)
-        if raw is None:
-            return DEFAULT_BRUTE_LIMIT
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{BRUTE_LIMIT_ENV_VAR} must be an integer, "
-                             f"got {raw!r}") from None
-        name = BRUTE_LIMIT_ENV_VAR
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
+    """Effective brute-force vertex limit: ``flag``, or DEFAULT_BRUTE_LIMIT
+    when it is None.  Raises ValueError for a negative limit."""
+    if flag is None:
+        return DEFAULT_BRUTE_LIMIT
+    if flag < 0:
+        raise ValueError(f"brute-force limit must be >= 0, got {flag}")
+    return flag
 
 
 def check_brute_size(vertex_count: int, limit: int) -> None:

@@ -1,10 +1,11 @@
 """End-to-end command-line tests through subprocess: output formats, exit
-codes, environment handling, and byte-stable JSON."""
+codes, a closed pipe, and byte-stable JSON."""
 
 import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -20,14 +21,18 @@ CMD = [sys.executable, "-m", "zdpoly.cli"]
 SRC = str(Path(zdpoly.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "ZDPOLY_BRUTE_LIMIT"}
+def child_env(env_extra=None):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=child_env(env_extra), timeout=120)
 
 
 def test_poly_text_output():
@@ -85,18 +90,17 @@ def test_poly_brute_capacity_exit_code():
 
 
 def test_brute_limit_env_and_flag():
-    res = run_cli("poly", "45", "--method", "brute",
-                  env_extra={"ZDPOLY_BRUTE_LIMIT": "10"})
+    # n = 45 has 20 vertices.  Only the flag sets the limit; the variable
+    # once read as its default is ignored.
+    res = run_cli("poly", "45", "--method", "brute", "--brute-limit", "10")
     assert res.returncode == 3
 
-    res = run_cli("poly", "45", "--method", "brute", "--brute-limit", "20",
-                  env_extra={"ZDPOLY_BRUTE_LIMIT": "10"})
+    res = run_cli("poly", "45", "--method", "brute", "--brute-limit", "20")
     assert res.returncode == 0
 
     res = run_cli("poly", "45", "--method", "brute",
-                  env_extra={"ZDPOLY_BRUTE_LIMIT": "plenty"})
-    assert res.returncode == 1
-    assert "ZDPOLY_BRUTE_LIMIT" in res.stderr
+                  env_extra={"ZDPOLY_BRUTE_LIMIT": "10"})
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,6 +290,43 @@ def test_verify_over_vertex_limit_skips_every_method():
     }
     assert payload["agreement"]["compared"] == []
     assert payload["gamma"] is None and payload["gamma_total"] is None
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),
+                    reason="the platform has no SIGPIPE")
+def test_closed_pipe_ends_quietly():
+    """A reader that stops early, as in ``zdpoly poly 4096 --json | head -c
+    10``, ends the command without a traceback or the usage-error code."""
+    # About 1.2 MB of JSON, far more than a pipe buffers.
+    proc = subprocess.Popen(CMD + ["poly", "4096", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env())
+    try:
+        assert proc.stdout.read(10) == b'{"n": 4096'
+        proc.stdout.close()
+        proc.wait(timeout=60)
+        assert proc.stderr.read() == b""
+        assert proc.returncode != cli.EXIT_USAGE
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_main_restores_int_digit_limit(capsys):
+    """main lifts the int-to-str cap only while its command runs, so an
+    embedding process keeps its own, on success and on error alike."""
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert cli.main(["gamma", "6"]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert cli.main(["poly", "100", "--method", "closed"]) == 4
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert capsys.readouterr().out == "gamma=1 gamma_total=2\n"
 
 
 def test_table_empty_range_is_usage_error():

@@ -2,7 +2,10 @@
 against brute force on synthetic graphs, and characterized exactly where they
 deviate from the engine."""
 
+from collections import Counter
+from functools import cache
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,7 @@ from zdpoly.closedform import (closed_domination, closed_total_domination,
 from zdpoly.domcount import DominationKind, brute_force_poly, class_engine_poly
 from zdpoly.errors import UnsupportedFamilyError
 from zdpoly.numtheory import Family, FamilyTag, classify_family, factorize, totient
-from zdpoly.polyring import ONE, Polynomial, binomial_expand
+from zdpoly.polyring import ONE, ZERO, Polynomial, binomial_expand
 from zdpoly.zdgraph import VertexGraph, build_class_graph
 
 ORD = DominationKind.ORDINARY
@@ -244,66 +247,138 @@ def test_palpha_transcription(n, p, alpha):
     assert closed_total_domination(n, tag) == palpha_Dt_sums(p, alpha)
 
 
-# --- agreement with the engine where the formulas are exact ----------------
+# --- every family member up to AUDIT_BOUND against the engine --------------
+
+AUDIT_BOUND = 1000
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@cache
+def family_members():
+    """(n, tag) for every n in 4..AUDIT_BOUND that has a family formula."""
+    tags = ((n, classify_family(factorize(n)))
+            for n in range(4, AUDIT_BOUND + 1))
+    return tuple((n, tag) for n, tag in tags if tag.family is not Family.OTHER)
+
+
+@cache
+def deviation(n, kind):
+    """The closed form minus the class engine at n."""
+    tag = classify_family(factorize(n))
+    closed = (closed_domination if kind is ORD
+              else closed_total_domination)(n, tag)
+    return closed - class_engine_poly(build_class_graph(n), kind)
+
+
+def some_not_all(m):
+    """(1+x)^m - 1 - x^m: some but not all of m vertices chosen."""
+    return binomial_expand(m) - ONE - monomial(m)
+
+
+def palpha_total_deviation(tag):
+    # the formula misses selections of two or more vertices from the class
+    # adjacent to everything, with nothing else chosen
+    return Polynomial([1, tag.p - 1]) - binomial_expand(tag.p - 1)
+
+
+def psquareq_deviation(tag):
+    # some but not all of the q-1 cut vertices chosen on top of the forced
+    # full class, leaving the rest of the cut class undominated
+    return some_not_all(tag.q - 1).shift(totient(tag.p * tag.q))
+
+
+def pqr_deviation(tag):
+    # the three single-occupied-hub cases: hub s of s-1 vertices, partly
+    # chosen, on top of the forced full classes it shares with t and u
+    primes = (tag.p, tag.q, tag.r)
+    out = ZERO
+    for s in primes:
+        t, u = (o for o in primes if o != s)
+        out = out + some_not_all(s - 1).shift((s - 1) * (t + u - 2))
+    return out
+
+
+# Closed form minus engine for the (family, kind) pairs where the formula
+# deviates, with the text README's findings table gives it; every other
+# pair agrees at every member.
+DEVIATIONS = {
+    (Family.P_SQUARE_Q, ORD): ("x^((p-1)(q-1)) δ(q-1)", psquareq_deviation),
+    (Family.PQR, ORD): ("Σ_s x^((s-1)(t+u-2)) δ(s-1)", pqr_deviation),
+    (Family.P_ALPHA, TOT): ("1 + (p-1)x - (1+x)^(p-1)",
+                            palpha_total_deviation),
+}
+
+
+def check_deviation(family, kind):
+    """Every member of ``family`` deviates in ``kind`` exactly as
+    characterized; returns the n where the deviation vanishes."""
+    characterize = DEVIATIONS[family, kind][1]
+    vanishing = []
+    for n, tag in family_members():
+        if tag.family is family:
+            expected = characterize(tag)
+            assert deviation(n, kind) == expected, n
+            if not expected:
+                vanishing.append(n)
+    return vanishing
+
 
 def test_exact_families_agree_with_engine():
-    d_exact = (9, 25, 49, 121, 6, 10, 14, 22, 26, 15, 21, 33, 35, 55, 77,
-               18, 50, 98, 8, 16, 32, 64, 27, 81, 125, 243)
-    dt_exact = (9, 25, 49, 6, 10, 14, 15, 21, 35, 8, 16, 32, 64,
-                18, 50, 45, 75, 30, 105)
-    for n in d_exact:
-        tag = classify_family(factorize(n))
-        assert closed_domination(n, tag) == class_engine_poly(
-            build_class_graph(n), ORD), n
-    for n in dt_exact:
-        tag = classify_family(factorize(n))
-        assert closed_total_domination(n, tag) == class_engine_poly(
-            build_class_graph(n), TOT), n
+    agreeing = Counter()
+    for n, tag in family_members():
+        for kind in (ORD, TOT):
+            if (tag.family, kind) not in DEVIATIONS:
+                assert not deviation(n, kind), (n, kind)
+                agreeing[kind] += 1
+    # 2p, p^2 and pq in both kinds, p^alpha in D, p^2q and pqr in D_t
+    assert agreeing == {ORD: 94 + 11 + 194 + 14, TOT: 94 + 11 + 194 + 108 + 135}
 
-
-# --- exact characterization of where the formulas deviate ------------------
 
 def test_palpha_total_formula_misses_deep_class_subsets():
-    # engine minus formula: selections of two or more vertices from the
-    # class adjacent to everything, with nothing else chosen
-    for n, p in ((27, 3), (125, 5), (243, 3)):
-        tag = classify_family(factorize(n))
-        engine = class_engine_poly(build_class_graph(n), TOT)
-        closed = closed_total_domination(n, tag)
-        expected = binomial_expand(p - 1) - Polynomial([1, p - 1])
-        assert engine - closed == expected, n
+    # engine minus formula is (1+x)^(p-1) - 1 - (p-1)x, zero only at p = 2
+    vanishing = check_deviation(Family.P_ALPHA, TOT)
+    assert vanishing == [8, 16, 32, 64, 128, 256, 512]
 
 
 def test_psquareq_formula_overcounts_partial_cut_class():
-    # formula minus engine: some but not all of the q-1 cut vertices chosen
-    # on top of the forced full class, leaving the rest of the cut class
-    # undominated
-    for n, p, q in ((45, 3, 5), (75, 5, 3), (12, 2, 3), (20, 2, 5)):
-        tag = classify_family(factorize(n))
-        closed = closed_domination(n, tag)
-        engine = class_engine_poly(build_class_graph(n), ORD)
-        fq = q - 1
-        expected = (binomial_expand(fq) - ONE - Polynomial([0] * fq + [1])
-                    ).shift(totient(p * q))
-        assert closed - engine == expected, n
+    # zero only at n = 2p^2, where the cut class has q - 1 = 1 vertex
+    vanishing = check_deviation(Family.P_SQUARE_Q, ORD)
+    assert vanishing == [2 * p * p for p in (3, 5, 7, 11, 13, 17, 19)]
 
 
 def test_pqr_formula_overcounts_lone_hub_cases():
-    # formula minus engine, summed over the three single-occupied-hub cases
-    for n, p, q, r in ((30, 5, 3, 2), (105, 7, 5, 3), (110, 11, 5, 2)):
-        tag = classify_family(factorize(n))
-        closed = closed_domination(n, tag)
-        engine = class_engine_poly(build_class_graph(n), ORD)
-        fp, fq, fr = p - 1, q - 1, r - 1
-        fpq, fpr, fqr = fp * fq, fp * fr, fq * fr
+    # never zero: q - 1 >= 2, so the hub of q - 1 vertices deviates
+    assert check_deviation(Family.PQR, ORD) == []
 
-        def part(size, offset):
-            return (binomial_expand(size) - ONE
-                    - Polynomial([0] * size + [1])).shift(offset)
 
-        expected = (part(fp, fpq + fpr) + part(fq, fpq + fqr)
-                    + part(fr, fpr + fqr))
-        assert closed - engine == expected, n
+def findings_table():
+    """README's findings table as rows of cell texts, header dropped."""
+    section = README.read_text().split("## Findings", 1)[1]
+    rows = [line.strip().strip("|").split("|")
+            for line in section.split("\n\n## ", 1)[0].splitlines()
+            if line.startswith("|")]
+    return [[cell.strip() for cell in row] for row in rows[2:]]
+
+
+def test_readme_findings_table():
+    """README's table gives, per family, the members up to AUDIT_BOUND and
+    the closed form minus the engine in each kind; the cells must be what
+    this audit finds."""
+    expected = []
+    for family in Family:
+        members = [n for n, tag in family_members() if tag.family is family]
+        if not members:
+            continue
+        row = [family.value, str(len(members))]
+        for kind in (ORD, TOT):
+            if (family, kind) in DEVIATIONS:
+                count = sum(1 for n in members if deviation(n, kind))
+                row.append(f"deviates at {count}: "
+                           f"`{DEVIATIONS[family, kind][0]}`")
+            else:
+                row.append("agrees")
+        expected.append(row)
+    assert findings_table() == expected
 
 
 # --- dispatch edges --------------------------------------------------------

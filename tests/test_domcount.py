@@ -209,27 +209,22 @@ def test_brute_matches_plain_count_on_twins(vg, low_bits):
             assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
 
 
-def test_brute_reads_env_for_default_limit(monkeypatch):
-    vg = expand_vertex_graph(build_class_graph(45))
+def test_brute_ignores_limit_variable(monkeypatch):
+    """The limit follows from the arguments alone: a variable once read as
+    the default, ZDPOLY_BRUTE_LIMIT, changes nothing."""
+    vg = expand_vertex_graph(build_class_graph(45))  # 20 vertices
     monkeypatch.setenv("ZDPOLY_BRUTE_LIMIT", "10")
+    assert resolve_brute_limit() == 26
+    assert brute_force_poly(vg, ORD) == class_engine_poly(
+        build_class_graph(45), ORD)
     with pytest.raises(CapacityError):
-        brute_force_poly(vg, ORD)
-    brute_force_poly(vg, ORD, limit=20)  # explicit limit wins
+        brute_force_poly(vg, ORD, limit=10)
 
 
-def test_resolve_brute_limit(monkeypatch):
-    monkeypatch.delenv("ZDPOLY_BRUTE_LIMIT", raising=False)
+def test_resolve_brute_limit():
     assert resolve_brute_limit() == 26
     assert resolve_brute_limit(12) == 12
-    monkeypatch.setenv("ZDPOLY_BRUTE_LIMIT", "18")
-    assert resolve_brute_limit() == 18
     assert resolve_brute_limit(30) == 30
-    monkeypatch.setenv("ZDPOLY_BRUTE_LIMIT", "many")
-    with pytest.raises(ValueError):
-        resolve_brute_limit()
-    monkeypatch.setenv("ZDPOLY_BRUTE_LIMIT", "-3")
-    with pytest.raises(ValueError):
-        resolve_brute_limit()
     with pytest.raises(ValueError):
         resolve_brute_limit(-1)
 
