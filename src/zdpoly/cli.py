@@ -9,6 +9,7 @@ Commands:
 
 Exit codes: 0 success, 1 usage error, 2 verification mismatch under
 --strict, 3 computation over capacity, 4 no closed form for the family.
+``main(argv)`` returns the status for every outcome, ``--help`` included.
 Run as a program, a command whose stdout is closed early (``| head``) ends
 quietly on SIGPIPE where the platform has it, as other Unix tools do.
 JSON output is a single line on stdout; human notes go to stderr.
@@ -37,31 +38,15 @@ EXIT_CAPACITY = 3
 EXIT_UNSUPPORTED = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad arguments; this package reserves 2
-    for verification mismatches, so usage errors are remapped to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _require_modulus(n: int) -> int:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return n
-
-
 def _kind(args) -> DominationKind:
     return DominationKind.TOTAL if args.total else DominationKind.ORDINARY
 
 
 def cmd_poly(args) -> int:
-    n = _require_modulus(args.n)
-    kind = _kind(args)
+    n = args.n
     cg = build_class_graph(n)
-    method = METHOD_CLASSES if args.method == "auto" else args.method
-    poly = compute(method, cg, kind, args.brute_limit)
+    kind = _kind(args)
+    poly = compute(args.method, cg, kind, args.brute_limit)
     if cg.vertex_count == 0:
         print(f"note: {n} has no nonzero zero-divisors; the graph is empty",
               file=sys.stderr)
@@ -69,7 +54,7 @@ def cmd_poly(args) -> int:
         print(json.dumps({
             "n": n,
             "kind": kind.value,
-            "method": method,
+            "method": args.method,
             "coeffs": [str(c) for c in poly.coeffs],
             "gamma": gamma_from_poly(poly),
         }))
@@ -79,8 +64,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n = _require_modulus(args.n)
-    rep = run_verification(n, _kind(args), args.brute_limit)
+    rep = run_verification(args.n, _kind(args), args.brute_limit)
     if args.json:
         print(json.dumps(report_to_dict(rep)))
     else:
@@ -91,7 +75,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    n = _require_modulus(args.n)
+    n = args.n
     cg = build_class_graph(n)
     if args.format == "classes":
         print(json.dumps({
@@ -123,7 +107,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    n = _require_modulus(args.n)
+    n = args.n
     cg = build_class_graph(n)
     gamma, _ = class_engine_count(cg, DominationKind.ORDINARY)
     gamma_total, _ = class_engine_count(cg, DominationKind.TOTAL)
@@ -180,18 +164,16 @@ def cmd_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="zdpoly",
         description="Domination polynomials of zero-divisor graphs of Z_n.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_poly = sub.add_parser("poly", help="print one counting polynomial")
     p_poly.add_argument("n", type=int)
     p_poly.add_argument("--total", action="store_true",
                         help="total domination instead of ordinary")
-    p_poly.add_argument("--method", choices=("auto", *METHODS),
-                        default="auto")
+    p_poly.add_argument("--method", choices=METHODS, default=METHOD_CLASSES)
     p_poly.add_argument("--brute-limit", type=int, default=None,
                         help="vertex cap for --method brute "
                              f"(default {DEFAULT_BRUTE_LIMIT})")
@@ -200,10 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="compare all applicable methods")
     p_verify.add_argument("n", type=int)
-    p_verify.add_argument("--total", action="store_true")
+    p_verify.add_argument("--total", action="store_true",
+                          help="total domination instead of ordinary")
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 2 when methods disagree")
-    p_verify.add_argument("--brute-limit", type=int, default=None)
+    p_verify.add_argument("--brute-limit", type=int, default=None,
+                          help="vertex cap for the brute method "
+                               f"(default {DEFAULT_BRUTE_LIMIT})")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -229,8 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse exits with status 2 on bad arguments, and 2 is this package's
+    # mismatch status, so its exits are turned into returned statuses here.
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     # Lift the 4 300-digit int-to-str cap (about 14 300 vertices) for this
     # command only; the functions are missing before Python 3.10.7.
     if hasattr(sys, "set_int_max_str_digits"):

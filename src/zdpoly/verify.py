@@ -123,8 +123,6 @@ def _gamma_pair(cg: ClassGraph, kind: DominationKind,
 
 def run_verification(n: int, kind: DominationKind,
                      brute_limit: int | None = None) -> VerificationReport:
-    if n < 2:
-        raise ValueError(f"verification requires n >= 2, got {n}")
     cg = build_class_graph(n)
     family = classify_family(factorize(n))
     outcomes = {

@@ -82,7 +82,7 @@ def build_class_graph(n: int) -> ClassGraph:
     """Compressed zero-divisor graph of Z_n.  n must be >= 2; a prime n yields
     the empty graph (no classes)."""
     if n < 2:
-        raise ValueError(f"build_class_graph requires n >= 2, got {n}")
+        raise ValueError(f"n must be >= 2, got {n}")
     divisors = proper_divisors(n)
     classes = tuple(DivisorClass(divisor=d, size=totient(n // d))
                     for d in divisors)

@@ -103,18 +103,59 @@ def test_brute_limit_env_and_flag():
     assert res.returncode == 0, res.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    (),
-    ("frobnicate", "9"),
-    ("poly",),
-    ("poly", "abc"),
-    ("poly", "1"),
-    ("poly", "9", "--method", "psychic"),
-    ("poly", "6", "--method", "brute", "--brute-limit", "-1"),
-])
-def test_usage_errors_exit_one(argv):
+def _unquoted(line):
+    # Later Python releases print argparse's "choose from" list unquoted.
+    return line.replace("'", "")
+
+
+USAGE_ERRORS = [
+    ((), "zdpoly: error: the following arguments are required: command"),
+    (("frobnicate", "9"),
+     "zdpoly: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'poly', 'verify', 'graph', 'gamma', 'table')"),
+    (("poly",), "zdpoly poly: error: the following arguments are required: n"),
+    (("poly", "abc"),
+     "zdpoly poly: error: argument n: invalid int value: 'abc'"),
+    (("poly", "1"), "zdpoly: error: n must be >= 2, got 1"),
+    (("poly", "9", "--method", "psychic"),
+     "zdpoly poly: error: argument --method: invalid choice: 'psychic' "
+     "(choose from 'brute', 'classes', 'closed')"),
+    (("poly", "6", "--method", "brute", "--brute-limit", "-1"),
+     "zdpoly: error: brute-force limit must be >= 0, got -1"),
+    (("verify", "0"), "zdpoly: error: n must be >= 2, got 0"),
+    (("graph", "1"), "zdpoly: error: n must be >= 2, got 1"),
+    (("poly", "9", "--method", "auto"),
+     "zdpoly poly: error: argument --method: invalid choice: 'auto' "
+     "(choose from 'brute', 'classes', 'closed')"),
+]
+
+
+@pytest.mark.parametrize("argv, last_line", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_errors_exit_one(argv, last_line):
     res = run_cli(*argv)
     assert res.returncode == 1
+    assert res.stdout == ""
+    assert _unquoted(res.stderr.splitlines()[-1]) == _unquoted(last_line)
+
+
+def test_main_returns_status_and_never_raises(capsys):
+    """Usage errors and --help come back from main as statuses, as every
+    other outcome does, instead of as SystemExit."""
+    assert cli.main(["poly", "abc"]) == cli.EXIT_USAGE
+    assert cli.main([]) == cli.EXIT_USAGE
+    assert "usage: zdpoly" in capsys.readouterr().err
+    assert cli.main(["poly", "--help"]) == cli.EXIT_OK
+    assert "usage: zdpoly poly" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["poly", "verify"])
+def test_help_names_brute_limit_default(capsys, command):
+    assert cli.main([command, "--help"]) == 0
+    # argparse wraps help text to the terminal width.
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--total total domination instead of ordinary" in text
+    assert "(default 26)" in text
 
 
 def test_verify_text_and_strict():
