@@ -6,12 +6,11 @@ moduli this package targets (a few hundred up to a few million).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime-power decomposition of n; primes in ascending order."""
 
     n: int
@@ -30,8 +29,7 @@ class Family(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     """A family together with its parameters and whether the side conditions of
     the matching formula hold for those parameters (``hypothesis_met``).
 

@@ -10,7 +10,7 @@ formula is pinpointed rather than merely flagged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closedform import closed_domination, closed_total_domination
 from .domcount import (DominationKind, brute_force_poly, check_brute_size,
@@ -61,8 +61,7 @@ def compute(method: str, cg: ClassGraph, kind: DominationKind,
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass
-class MethodOutcome:
+class MethodOutcome(NamedTuple):
     """One method's result: a polynomial, or the reason it was skipped."""
 
     polynomial: Polynomial | None
@@ -70,15 +69,13 @@ class MethodOutcome:
     millis: float
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     degree: int
     method: str
     coefficient: int
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     family: FamilyTag
     kind: DominationKind

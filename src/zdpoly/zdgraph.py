@@ -16,8 +16,8 @@ expansion, the class engine and the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .numtheory import proper_divisors, totient
@@ -30,8 +30,7 @@ from .numtheory import proper_divisors, totient
 VERTEX_LIMIT = 50_000
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """The vertices v with gcd(v, n) == divisor; there are totient(n/divisor)
     of them."""
 
@@ -39,8 +38,7 @@ class DivisorClass:
     size: int
 
 
-@dataclass(frozen=True)
-class ClassGraph:
+class ClassGraph(NamedTuple):
     """Divisor-class compression of the zero-divisor graph of Z_n.
 
     ``classes`` is ordered by ascending divisor d_0 < d_1 < ...  Bit j of
@@ -65,8 +63,7 @@ class ClassGraph:
                 for j in range(i + 1, k) if mask >> j & 1]
 
 
-@dataclass(frozen=True)
-class VertexGraph:
+class VertexGraph(NamedTuple):
     """Explicit graph on the zero-divisor labels themselves.
 
     ``closed`` holds one bitset per vertex over vertex *indices*: bit v of

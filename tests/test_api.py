@@ -6,8 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zdpoly
+from zdpoly import (ClassGraph, DominationKind, Factorization, FamilyTag,
+                    VerificationReport, build_class_graph, classify_family,
+                    factorize, run_verification)
+from zdpoly.numtheory import Family
 from zdpoly.polyring import Polynomial
+from zdpoly.verify import Disagreement, MethodOutcome
+from zdpoly.zdgraph import DivisorClass, VertexGraph, expand_vertex_graph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # The child process imports the same zdpoly that this test process did.
@@ -50,6 +58,70 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "brute   [" in res.stdout
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    """The record types are named tuples, so starting the package or its CLI
+    loads neither ``dataclasses`` nor ``inspect`` (and what ``inspect``
+    pulls in).  ``-S`` keeps site hooks from importing them first."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+         "import zdpoly\n"
+         "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+         "from zdpoly.cli import main\n"
+         "assert not {'dataclasses', 'inspect'} & set(sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
+def _records() -> dict:
+    """One instance of each record type, keyed by type name."""
+    cg = build_class_graph(12)
+    rep = run_verification(12, DominationKind.ORDINARY)
+    return {
+        "Factorization": factorize(75),
+        "FamilyTag": classify_family(factorize(75)),
+        "DivisorClass": cg.classes[0],
+        "ClassGraph": cg,
+        "VertexGraph": expand_vertex_graph(cg),
+        "MethodOutcome": rep.outcomes["brute"],
+        "Disagreement": rep.disagreements[0],
+        "VerificationReport": rep,
+    }
+
+
+RECORD_TYPES = (Factorization, FamilyTag, DivisorClass, ClassGraph,
+                VertexGraph, MethodOutcome, Disagreement, VerificationReport)
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda c: c.__name__)
+def test_record_contract(cls):
+    """Every record is built by keyword, compares by value and is immutable."""
+    rec = _records()[cls.__name__]
+    assert type(rec) is cls
+    fields = {name: getattr(rec, name) for name in cls._fields}
+    assert cls(**fields) == rec
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, fields[name])
+    first = cls._fields[0]
+    assert rec._replace(**{first: None}) == (None, *list(fields.values())[1:])
+    assert getattr(rec, first) is fields[first]
+    if cls is FamilyTag:
+        assert FamilyTag(Family.OTHER) == FamilyTag(
+            family=Family.OTHER, p=None, q=None, r=None, alpha=None,
+            hypothesis_met=False)
+        assert repr(rec) == (
+            "FamilyTag(family=<Family.P_SQUARE_Q: 'p^2q'>, p=5, q=3, r=None, "
+            "alpha=None, hypothesis_met=True)")
+    if cls is ClassGraph:
+        again = build_class_graph(12)
+        assert again == rec and again is not rec
+        assert hash(again) == hash(rec)
 
 
 def test_readme_library_snippet_results():
