@@ -36,11 +36,20 @@ also needs a second selected vertex; that fails only when n = p^alpha and
 the set is one vertex of the lone class n/p, so D_t loses (p-1)*x there.
 
 The terms are summed with no polynomial product.  prod((1+x)^m - 1) over
-the generator sizes multiplies out to 2^|gens| signed powers (1+x)^E, with
-E = free + the sizes of a subset of the generators: the (1+x)-power form of
+the generator sizes multiplies out to signed powers (1+x)^E, with E = free +
+the sizes of a subset of the generators: the (1+x)-power form of
 D(G, x) = sum over W of (-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon,
-Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Each distinct row
-(1+x)^E is expanded once and added, times its signed count, at each shift.
+Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Merged over the
+terms, they make a row table {E: {shift: signed count}}, which two sums
+read.  The flat sum expands each row (1+x)^E once and adds it, times its
+count, at each shift: a multiply and an add per coefficient, so it counts
+2 * sum (E+1) over the (E, shift) pairs.  Horner in (1+x) goes down from the
+largest E, adds Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for
+each unit step of E with one add per live coefficient; it counts those
+adds.  Both counts come from the table before any row is built, and the
+smaller one picks the sum.  Horner wins when many shifts recur over many E
+(n = 2520: 1.9 M against 18.5 M), flat when there are few rows (prime powers,
+n = 2p, and D_t, whose 2^omega(n) rows all sit at shift 0).
 
 ``class_engine_count`` reads the domination number and the count D(1) from
 the same up-set keys (shift, free size, generator sizes) without building a
@@ -59,21 +68,26 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from operator import add
 
 from .errors import CapacityError
 from .polyring import Polynomial, binomial_expand
 from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
 DEFAULT_BRUTE_LIMIT = 26
-# Most up-sets (antichains of proper divisors) the class engine takes on for
-# D, whether it builds the polynomial or only reads gamma and D(1) from the
-# keys.  Enumerating them is cheap, and it is all class_engine_count pays:
-# about 0.5 s for the 59 540 up-sets of n = 2520.  Assembling their
-# polynomial is not, so the engine refuses before assembly:
-# class_engine_poly takes about 4 s at n = 2520, and assembly grows with
-# |V| too (n = 9828 has as many up-sets but 7 235 vertices, and takes about
-# 60 s).  n = 5040 has 307 958 up-sets.
-ENGINE_UPSET_BUDGET = 60_000
+# Most up-sets (antichains of proper divisors) the class engine enumerates
+# for D, counted as they are visited, in class_engine_poly and
+# class_engine_count alike.  On a 2-core Xeon with Python 3.11 a visit
+# costs about 11 us at n = 5040 (307 958 up-sets, 3.4-4 s); n = 7560
+# (651 k) is refused after about 3.3 s and n = 720720 after about 2 s.
+ENGINE_UPSET_LIMIT = 400_000
+
+# Most work class_engine_poly takes on to sum the binomial rows: the count
+# of the cheaper sum (see _assemble), checked before any row is built.  A
+# unit costs about 0.1-0.4 us on the same machine, the more the wider the
+# coefficients, so this is about 10 s at |V| = 7 235 (n = 9828 counts
+# 26.2 M).
+ENGINE_WORK_LIMIT = 30_000_000
 
 # Most vertices brute force takes on whatever the limit.  The time doubles
 # with each vertex (per kind, 2-core Xeon, Python 3.11: 44-62 s at 39
@@ -194,9 +208,17 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
     the sum of the up-set terms of ``_engine_terms``.  Raises CapacityError
-    before any polynomial is built, as ``_engine_terms`` does."""
+    as ``_engine_terms`` does, or when the counted work of the sum is over
+    ENGINE_WORK_LIMIT, before any row is built."""
     terms, drop = _engine_terms(cg, kind)
-    return _assemble(terms, cg.vertex_count) - Polynomial((0, drop))
+    nv = cg.vertex_count
+    rows, work, sum_rows = _assemble(terms, nv)
+    if work > ENGINE_WORK_LIMIT:
+        raise CapacityError(
+            f"summing the binomial rows for n={cg.n} counts {work} "
+            f"operations, over the class-engine work limit of "
+            f"{ENGINE_WORK_LIMIT}")
+    return sum_rows(rows, nv) - Polynomial((0, drop))
 
 
 def class_engine_count(cg: ClassGraph,
@@ -227,7 +249,7 @@ def _engine_terms(cg, kind):
     The lowest bit of ``neighbors[i]`` is the partner class n/d_i, and
     ``neighbors[partner[j]]`` is the up-set of class j.  Each up-set
     contributes the product of the class weights in the module docstring.
-    Raises CapacityError past ENGINE_UPSET_BUDGET up-sets (D only), then
+    Raises CapacityError past ENGINE_UPSET_LIMIT up-sets (D only), then
     past zdgraph.VERTEX_LIMIT vertices.
     """
     sizes = [c.size for c in cg.classes]
@@ -260,11 +282,11 @@ def _upset_terms(n, up, partner, sizes):
     while stack:
         start, gens, upset = stack.pop()
         count += 1
-        if count > ENGINE_UPSET_BUDGET:
+        if count > ENGINE_UPSET_LIMIT:
             raise CapacityError(
                 f"counting up-sets of divisor classes for n={n} reached "
-                f"{count}, over the class-engine budget of "
-                f"{ENGINE_UPSET_BUDGET}")
+                f"{count}, over the class-engine up-set limit of "
+                f"{ENGINE_UPSET_LIMIT}")
         key = _term(gens, upset, partner, sizes)
         if key is not None:
             terms[key] += 1
@@ -295,21 +317,74 @@ def _term(gens, upset, partner, sizes):
 
 
 def _assemble(terms, nv):
-    """Sum of count * x^shift * (1+x)^free * prod((1+x)^m - 1 for m in gens)
-    over the terms {(shift, free, gens): count}, as binomial rows."""
-    rows = {}  # E -> {shift: signed count of x^shift * (1+x)^E}
+    """(rows, work, sum_rows) for the terms {(shift, free, gens): count}:
+    the row table {E: {shift: signed count of x^shift * (1+x)^E}}, and the
+    cheaper of _flat_sum and _horner_sum with the work it counts.  Each
+    distinct ``gens``, and each prefix of one, multiplies out to its signed
+    powers of (1+x) once."""
+    offsets = {(): {0: 1}}  # gens -> {E: signed count of (1+x)^E}
+
+    def expand(gens):
+        signed = offsets.get(gens)
+        if signed is None:
+            m = gens[-1]
+            signed = {}
+            for e, c in expand(gens[:-1]).items():
+                signed[e + m] = signed.get(e + m, 0) + c
+                signed[e] = signed.get(e, 0) - c
+            signed = offsets[gens] = {e: c for e, c in signed.items() if c}
+        return signed
+
+    # (E, shift) is keyed as the int E * width + shift: a Counter of pairs
+    # took about twice as long to fill at n = 2520.
+    width = nv + 1
+    table = {}
     for (shift, free, gens), count in terms.items():
-        powers = [(free, count)]
-        for m in gens:
-            powers = ([(e + m, c) for e, c in powers]
-                      + [(e, -c) for e, c in powers])
-        for e, c in powers:
-            rows.setdefault(e, Counter())[shift] += c
+        base = free * width + shift
+        for e, c in expand(gens).items():
+            key = base + e * width
+            table[key] = table.get(key, 0) + c * count
+    rows = {}
+    for key, c in table.items():
+        if c:
+            e, shift = divmod(key, width)
+            rows.setdefault(e, {})[shift] = c
+    flat = 2 * sum((e + 1) * len(shifts) for e, shifts in rows.items())
+    horner, lo, reach = 0, nv, 0
+    for e in range(max(rows, default=0), 0, -1):
+        if e in rows:
+            lo = min(lo, min(rows[e]))
+            reach = max(reach, e + max(rows[e]))
+        horner += reach - e - lo + 1
+    if horner < flat:
+        return rows, horner, _horner_sum
+    return rows, flat, _flat_sum
+
+
+def _flat_sum(rows, nv):
+    """Add each row (1+x)^E, expanded once, times its count at each shift:
+    one multiply and one add per coefficient."""
     acc = [0] * (nv + 1)
     for e, shifts in rows.items():
         row = binomial_expand(e).coeffs
         for shift, count in shifts.items():
-            if count:
-                for d, c in enumerate(row, shift):
-                    acc[d] += count * c
+            for d, c in enumerate(row, shift):
+                acc[d] += count * c
+    return Polynomial(acc)
+
+
+def _horner_sum(rows, nv):
+    """Horner in (1+x): going down from the largest E, add Q_E(x), the sum
+    of count * x^shift, then multiply by (1+x) for the step down to E - 1
+    with one add acc[d] += acc[d-1] per coefficient of the live range."""
+    acc = [0] * (nv + 1)
+    lo, hi = nv, 0
+    for e in range(max(rows, default=0), -1, -1):
+        for shift, count in rows.get(e, {}).items():
+            acc[shift] += count
+            lo = min(lo, shift)
+            hi = max(hi, shift)
+        if e:
+            acc[lo + 1:hi + 2] = map(add, acc[lo + 1:hi + 2], acc[lo:hi + 1])
+            hi += 1
     return Polynomial(acc)

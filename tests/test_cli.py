@@ -370,6 +370,13 @@ def test_main_restores_int_digit_limit(capsys):
     assert capsys.readouterr().out == "gamma=1 gamma_total=2\n"
 
 
+def test_gamma_reaches_5040(capsys):
+    """5040's 307 958 up-sets are within the class engine's up-set limit,
+    so gamma answers."""
+    assert cli.main(["gamma", "5040"]) == 0
+    assert capsys.readouterr().out == "gamma=4 gamma_total=4\n"
+
+
 def test_table_empty_range_is_usage_error():
     res = run_cli("table", "9", "4")
     assert res.returncode == 1

@@ -1,6 +1,7 @@
 """Counting engines: brute force, band semantics, and the class engine."""
 
 import hashlib
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -231,21 +232,60 @@ def test_resolve_brute_limit():
 
 def test_engine_class_capacity():
     # 720720 = 2^4 3^2 5 7 11 13 has 238 classes, far more up-sets than the
-    # budget, and 582 479 vertices; the engine refuses before assembly,
-    # and reading only gamma and the count is refused the same way.
+    # limit, and 582 479 vertices; the engine refuses while it counts the
+    # up-sets, before any polynomial is built, and reading only gamma and
+    # the count is refused the same way.
     cg = build_class_graph(720720)
-    budget = dc.ENGINE_UPSET_BUDGET
+    limit = dc.ENGINE_UPSET_LIMIT
     for engine in (class_engine_poly, class_engine_count):
         with pytest.raises(CapacityError) as err:
             engine(cg, ORD)
         assert str(err.value) == (
             f"counting up-sets of divisor classes for n=720720 reached "
-            f"{budget + 1}, over the class-engine budget of {budget}")
+            f"{limit + 1}, over the class-engine up-set limit of {limit}")
         with pytest.raises(CapacityError) as err:
             engine(cg, TOT)
         assert str(err.value) == (
             f"n=720720 has 582479 vertices, over the class-engine limit of "
             f"{VERTEX_LIMIT}")
+
+
+@pytest.mark.parametrize("kind, work", [(ORD, 28680), (TOT, 3768)])
+def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
+    """Past ENGINE_WORK_LIMIT, class_engine_poly refuses before either sum
+    builds a row; at the limit it answers."""
+    cg = build_class_graph(336)
+
+    def no_rows(*args):
+        raise AssertionError("a binomial row was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dc, "ENGINE_WORK_LIMIT", work - 1)
+        mp.setattr(dc, "binomial_expand", no_rows)
+        mp.setattr(dc, "_horner_sum", no_rows)
+        with pytest.raises(CapacityError) as err:
+            class_engine_poly(cg, kind)
+    assert str(err.value) == (
+        f"summing the binomial rows for n=336 counts {work} operations, "
+        f"over the class-engine work limit of {work - 1}")
+    monkeypatch.setattr(dc, "ENGINE_WORK_LIMIT", work)
+    assert class_engine_poly(cg, kind) == _engine_poly(336, kind)
+
+
+@pytest.mark.parametrize("n, kind, work, sum_rows", [
+    (336, ORD, 28680, "_horner_sum"),  # flat: 48 920
+    (336, TOT, 3768, "_flat_sum"),
+    (9828, ORD, 26176230, "_horner_sum"),  # flat: 264 861 944
+    (20014, ORD, 40040, "_flat_sum"),  # Horner: over 50 M
+])
+def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
+    """The sum the counted work picks, and its count, which the work limit
+    admits: 9828 and 20014 are in reach only through the choice."""
+    cg = build_class_graph(n)
+    terms, _ = dc._engine_terms(cg, kind)
+    _, got_work, got_sum = dc._assemble(terms, cg.vertex_count)
+    assert (got_work, got_sum.__name__) == (work, sum_rows)
+    assert work <= dc.ENGINE_WORK_LIMIT
 
 
 # sha256 of the comma-joined coefficients of class_engine_poly, recorded
@@ -289,6 +329,47 @@ def test_engine_makes_no_polynomial_product(monkeypatch):
         cg = build_class_graph(n)
         for kind in (ORD, TOT):
             class_engine_poly(cg, kind)
+
+
+def _flat_reference(terms, nv):
+    """The engine's flat assembly before it chose between two sums: each
+    key re-expands its 2^|gens| signed powers of (1+x), and each distinct
+    row (1+x)^E is added, times its signed count, at each shift."""
+    rows = {}  # E -> {shift: signed count of x^shift * (1+x)^E}
+    for (shift, free, gens), count in terms.items():
+        powers = [(free, count)]
+        for m in gens:
+            powers = ([(e + m, c) for e, c in powers]
+                      + [(e, -c) for e, c in powers])
+        for e, c in powers:
+            rows.setdefault(e, Counter())[shift] += c
+    acc = [0] * (nv + 1)
+    for e, shifts in rows.items():
+        row = binomial_expand(e).coeffs
+        for shift, count in shifts.items():
+            if count:
+                for d, c in enumerate(row, shift):
+                    acc[d] += count * c
+    return Polynomial(acc)
+
+
+def test_engine_matches_flat_reference(monkeypatch):
+    """Every n below 1200, both kinds, against the flat reference on the
+    same up-set keys; the sweep runs both of the engine's sums."""
+    calls = Counter()
+    for name in ("_flat_sum", "_horner_sum"):
+        def spy(rows, nv, name=name, sum_rows=getattr(dc, name)):
+            calls[name] += 1
+            return sum_rows(rows, nv)
+        monkeypatch.setattr(dc, name, spy)
+    for n in range(2, 1200):
+        cg = build_class_graph(n)
+        for kind in (ORD, TOT):
+            terms, drop = dc._engine_terms(cg, kind)
+            expected = (_flat_reference(terms, cg.vertex_count)
+                        - Polynomial((0, drop)))
+            assert _engine_poly(n, kind) == expected, (n, kind)
+    assert calls["_flat_sum"] and calls["_horner_sum"], calls
 
 
 def test_engine_count_reads_the_polynomial():
