@@ -3,13 +3,16 @@
 ``brute_force_poly`` enumerates all 2^|V| vertex subsets of an expanded graph
 and histograms the dominating ones by size — slow but unarguable, so it serves
 as the ground truth for everything else.  It reads only the ``VertexGraph``.
-It splits the vertices into the first 16 (low) and the rest (high).  A low
-subset S completes a high subset H exactly when S meets N(v) ∩ low for every
-vertex v that H leaves uncovered, so the size histogram of the completing S
-depends only on the distinct low neighbourhoods among those v.  It is
-computed once per such set of neighbourhoods (one AND per neighbourhood, 17
-popcounts of 2^16 bits) and shifted by |H| for each of the 2^(|V|-16) high
-subsets.
+It splits the vertices into three runs, low, block and outer.  The subsets
+of the low and block runs are the bit positions of Python-int bitsets, so
+one bitwise operation tests up to 2^14 of them at once, and only the at
+most 2^10 outer subsets are looped over.  For each outer subset it splits
+the block subsets by the groups (vertices with one neighbourhood within
+low) they leave with an uncovered member; a low subset completes such a
+pair exactly when it covers a member of each of those groups, so the size
+histogram of the completing low subsets is computed once per distinct set
+of groups.  Since one bitwise operation tests thousands of subsets, a call
+for D takes about 1 ms at 26 vertices and 0.14 s at 40, the ceiling.
 
 ``class_engine_poly`` works on the divisor classes instead.  Class d (the
 vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e,
@@ -71,15 +74,18 @@ from enum import Enum
 from operator import add
 
 from .errors import CapacityError
+from .numtheory import factorize
 from .polyring import Polynomial, binomial_expand
 from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
 DEFAULT_BRUTE_LIMIT = 26
 # Most up-sets (antichains of proper divisors) the class engine enumerates
-# for D, counted as they are visited, in class_engine_poly and
-# class_engine_count alike.  On a 2-core Xeon with Python 3.11 a visit
-# costs about 11 us at n = 5040 (307 958 up-sets, 3.4-4 s); n = 7560
-# (651 k) is refused after about 3.3 s and n = 720720 after about 2 s.
+# for D, in class_engine_poly and class_engine_count alike.  On a 2-core
+# Xeon with Python 3.11 a visit costs about 11 us at n = 5040 (307 958
+# up-sets, 3.4-4 s).  A rank level of w divisors means at least 2^w
+# up-sets, which refuses n = 27720 (w = 22) and 720720 (w = 46) before the
+# walk; n = 7560 (w = 14, 651 k up-sets) is refused while counting, after
+# about 3.3 s.
 ENGINE_UPSET_LIMIT = 400_000
 
 # Most work class_engine_poly takes on to sum the binomial rows: the count
@@ -89,16 +95,25 @@ ENGINE_UPSET_LIMIT = 400_000
 # 26.2 M).
 ENGINE_WORK_LIMIT = 30_000_000
 
-# Most vertices brute force takes on whatever the limit.  The time doubles
-# with each vertex (per kind, 2-core Xeon, Python 3.11: 44-62 s at 39
-# vertices, n = 76), so 40 takes about two minutes and 45 about an hour.
+# Most vertices brute force takes on whatever the limit.  Per kind, D and
+# D_t, on a 2-core Xeon with Python 3.11: 1.0 and 0.5 ms at 26 vertices
+# (n = 63), 46 and 24 ms at 34 (n = 75), 0.14 and 0.07 s at 40 (n = 185).
+# Past 36 vertices each further vertex doubles the low bitsets, which hold
+# 2^16 bits at 40.
 BRUTE_CEILING = 40
 
-# How many vertices brute force treats as low: their subsets are the bit
-# positions of 2^16-bit bitsets, and it loops over subsets of the rest in
-# Python.  14 is slower, because that loop then dominates; 20 holds about
-# 6 MB of tables where 16 holds 0.4 MB.
-_BRUTE_LOW_BITS = 16
+# How brute force splits the vertices (see brute_force_poly): the subsets
+# of the low and the block vertices are the bit positions of bitsets, and
+# it loops over the subsets of the outer rest in Python.  Low takes at
+# least _BRUTE_LOW_BITS vertices and whatever the block and
+# _BRUTE_OUTER_BITS outer vertices leave, so the loop has at most 2^10
+# steps.  A fixed low run of 16 made brute force on the benchmark's graphs
+# of up to 26 vertices 2.6 times slower in all (one histogram per key over
+# 2^16 bits), and a fixed 12 took 1.7-2.1 s for D at 40 vertices (2^14
+# loop steps) against 0.14 s with the low run grown to 16.
+_BRUTE_LOW_BITS = 12
+_BRUTE_BLOCK_BITS = 14
+_BRUTE_OUTER_BITS = 10
 
 
 class DominationKind(Enum):
@@ -141,19 +156,33 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     """Count dominating sets (or total dominating sets) of every size by
     direct enumeration of all vertex subsets.
 
-    A subset S of the low (first 16) vertices is a bit position in Python-int
-    bitsets of 2^low bits.  Vertices are grouped by their low neighbourhood
-    L = N(v) ∩ low: bit S of ``hit[g]`` is set when S meets group g's L, and
-    bit S of ``sized[s]`` when |S| = s.  A subset H of the remaining high
-    vertices leaves some vertices uncovered; S completes H to a dominating
-    set exactly when it meets the L of each of them, so the groups with an
-    uncovered member (the key) decide the answer.  Grouping is exact because
-    vertices of one group pose the same condition on S, whatever their high
-    neighbours.  For each new key, ANDing its ``hit`` masks marks the
-    completing low subsets, counted by size with one popcount each; that
-    histogram is cached and added shifted by |H|.  Cost is 2^(|V|-16) high
-    subsets plus one AND chain and 17 popcounts of 2^16 bits per distinct
-    key.  Refuses graphs above ``limit`` vertices or BRUTE_CEILING.
+    The vertices split into three runs: low (the first _BRUTE_LOW_BITS, or
+    more when the outer run would pass _BRUTE_OUTER_BITS), block (the next
+    _BRUTE_BLOCK_BITS) and outer (the rest).  Low and block subsets are bit
+    positions of Python-int bitsets; outer subsets are looped over, each
+    covered set one OR from a smaller subset's.  Neighbourhoods are
+    symmetric, so a subset S of a run covers vertex v when it meets
+    N(v) ∩ run, and ``_meet_masks`` gives, for each vertex, the bitset of
+    the run's subsets that cover it.
+
+    Vertices are grouped by their low neighbourhood, since the low subsets
+    that cover one member cover them all.  For an outer subset O, the block
+    subsets A are split by their key: the groups with a member that neither
+    O nor A covers.  Group g stays uncovered exactly for the A outside the
+    AND of the cover bitsets of its members that O leaves uncovered.  Each
+    part is counted by |A| with one popcount per size, and the counts are
+    tallied by (key, |A| + |O|).  S completes A ∪ O to a dominating set
+    exactly when it covers a member of each group in the key, so one AND
+    chain and one popcount per size of the low bitsets give each key's size
+    histogram, added shifted and times the tally.
+
+    Cost is at most 2^_BRUTE_OUTER_BITS outer subsets, each one AND of
+    2^block bits per member of a group it leaves uncovered and, for each
+    part, one AND and popcount per block size; then, per distinct key, an
+    AND chain and one popcount per low size over 2^low bits.  The tables
+    are a bitset of 2^low bits per group and per low size and one of
+    2^block bits per vertex and per block size, about 0.4 MB at 40
+    vertices.  Refuses graphs above ``limit`` vertices or BRUTE_CEILING.
     """
     nv = len(vg.labels)
     check_brute_size(nv, resolve_brute_limit(limit))
@@ -161,36 +190,51 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
         nbh = list(vg.closed)
     else:
         nbh = [c & ~(1 << u) for u, c in enumerate(vg.closed)]
-    low = min(nv, _BRUTE_LOW_BITS)
+    low = min(nv, max(_BRUTE_LOW_BITS,
+                      nv - _BRUTE_BLOCK_BITS - _BRUTE_OUTER_BITS))
+    block = min(nv - low, _BRUTE_BLOCK_BITS)
     low_mask = (1 << low) - 1
     groups = {}  # low neighbourhood -> bitmask of the vertices that have it
     for v in range(nv):
         low_nbh = nbh[v] & low_mask
         groups[low_nbh] = groups.get(low_nbh, 0) | 1 << v
-    members = list(groups.values())
-    hit = [0] * len(groups)
-    sized = [1] + [0] * low
-    for b in range(low):
-        half = 1 << b
-        ones = (1 << half) - 1
-        for g, low_nbh in enumerate(groups):
-            hit[g] |= (ones if low_nbh >> b & 1 else hit[g]) << half
-        for s in range(b + 1, 0, -1):
-            sized[s] |= sized[s - 1] << half
+    hit, sized = _meet_masks(groups, low)
+    block_mask = (1 << block) - 1
+    covers, block_sized = _meet_masks(
+        [c >> low & block_mask for c in nbh], block)
+    members = [(vertices, [v for v in range(nv) if vertices >> v & 1])
+               for vertices in groups.values()]
+    every = (1 << (1 << block)) - 1
+    outer_covered, outer_size = [0], [0]
+    for c in nbh[low + block:]:
+        outer_covered += [covered | c for covered in outer_covered]
+        outer_size += [size + 1 for size in outer_size]
+    tally = Counter()  # (key, |A| + |O|) -> number of pairs (A, O)
+    for covered, size in zip(outer_covered, outer_size):
+        parts = {0: every}  # key -> bitset of the block subsets with it
+        for g, (vertices, vertex_list) in enumerate(members):
+            if not vertices & ~covered:
+                continue
+            met = every
+            for v in vertex_list:
+                if not covered >> v & 1:
+                    met &= covers[v]
+            split = {}
+            for key, part in parts.items():
+                if part & met:
+                    split[key] = part & met
+                if part & ~met:
+                    split[key | 1 << g] = part & ~met
+            parts = split
+        for key, part in parts.items():
+            for s, mask in enumerate(block_sized, size):
+                c = (part & mask).bit_count()
+                if c:
+                    tally[key, s] += c
     full = (1 << (1 << low)) - 1
     counts = [0] * (nv + 1)
-    high_nbh = nbh[low:]
     histograms = {}
-    for high in range(1 << (nv - low)):
-        covered = 0
-        h = high
-        while h:
-            covered |= high_nbh[(h & -h).bit_length() - 1]
-            h &= h - 1
-        key = 0
-        for g, vertices in enumerate(members):
-            if vertices & ~covered:
-                key |= 1 << g
+    for (key, size), multiplicity in tally.items():
         histogram = histograms.get(key)
         if histogram is None:
             dominated = full
@@ -199,10 +243,26 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
                     dominated &= low_hit
             histogram = [(dominated & mask).bit_count() for mask in sized]
             histograms[key] = histogram
-        base_size = high.bit_count()
-        for s, c in enumerate(histogram):
-            counts[s + base_size] += c
+        for s, c in enumerate(histogram, size):
+            counts[s] += c * multiplicity
     return Polynomial(counts)
+
+
+def _meet_masks(conditions, bits):
+    """(masks, sized) over the 2^bits subsets S of ``bits`` positions: bit S
+    of masks[i] is set when S meets conditions[i], a bitmask of positions,
+    and bit S of sized[s] when |S| = s.  Each doubling step copies the
+    bitsets of the subsets without position b to those with it."""
+    masks = [0] * len(conditions)
+    sized = [1] + [0] * bits
+    for b in range(bits):
+        half = 1 << b
+        ones = (1 << half) - 1
+        for i, condition in enumerate(conditions):
+            masks[i] |= (ones if condition >> b & 1 else masks[i]) << half
+        for s in range(b + 1, 0, -1):
+            sized[s] |= sized[s - 1] << half
+    return masks, sized
 
 
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
@@ -249,8 +309,10 @@ def _engine_terms(cg, kind):
     The lowest bit of ``neighbors[i]`` is the partner class n/d_i, and
     ``neighbors[partner[j]]`` is the up-set of class j.  Each up-set
     contributes the product of the class weights in the module docstring.
-    Raises CapacityError past ENGINE_UPSET_LIMIT up-sets (D only), then
-    past zdgraph.VERTEX_LIMIT vertices.
+    Raises CapacityError past ENGINE_UPSET_LIMIT up-sets (D only): at
+    once when the widest rank level of the divisors already implies more,
+    else while the walk counts them; then past zdgraph.VERTEX_LIMIT
+    vertices.
     """
     sizes = [c.size for c in cg.classes]
     partner = [(mask & -mask).bit_length() - 1 for mask in cg.neighbors]
@@ -266,9 +328,31 @@ def _engine_terms(cg, kind):
         if primes.bit_count() == 1:
             drop = sizes[partner[primes.bit_length() - 1]]
     else:
+        widest = _widest_rank_level(cg)
+        if 1 << widest > ENGINE_UPSET_LIMIT:
+            raise CapacityError(
+                f"n={cg.n} has {widest} divisor classes of one rank, so at "
+                f"least 2^{widest} up-sets, over the class-engine up-set "
+                f"limit of {ENGINE_UPSET_LIMIT}")
         terms = _upset_terms(cg.n, up, partner, sizes)
     check_vertex_limit(cg, "class-engine")
     return terms, drop
+
+
+def _widest_rank_level(cg):
+    """The most classes whose divisors have one count of prime factors
+    (with multiplicity).  No such divisor divides another, so every subset
+    of the level is an antichain: 2^level bounds the up-sets below."""
+    primes = [p for p, _ in factorize(cg.n).factors]
+    levels = Counter()
+    for c in cg.classes:
+        d, rank = c.divisor, 0
+        for p in primes:
+            while d % p == 0:
+                d //= p
+                rank += 1
+        levels[rank] += 1
+    return max(levels.values(), default=0)
 
 
 def _upset_terms(n, up, partner, sizes):

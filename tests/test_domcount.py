@@ -92,11 +92,12 @@ def test_engine_matches_band_reference():
 
 
 def test_engine_matches_brute_small():
-    # |V| <= 30 holds for no n > 961; above 16 vertices the high half runs
-    for n, cg in composite_class_graphs(4, 961, max_vertices=30):
+    # Every modulus brute force takes: |V| <= 40 holds for no n > 41^2.
+    # Past 26 vertices the outer loop runs, and past 36 the low run grows.
+    for n, cg in composite_class_graphs(4, 41 * 41, max_vertices=40):
         vg = expand_vertex_graph(cg)
         for kind in (ORD, TOT):
-            assert (brute_force_poly(vg, kind, limit=30)
+            assert (brute_force_poly(vg, kind, limit=40)
                     == class_engine_poly(cg, kind)), (n, kind)
 
 
@@ -162,14 +163,33 @@ def vertex_graphs(draw):
     return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
 
 
-@pytest.mark.parametrize("low_bits", [dc._BRUTE_LOW_BITS, 3])
-@settings(max_examples=60, deadline=None)
-@given(vg=vertex_graphs())
-def test_brute_matches_plain_count(vg, low_bits):
+# Brute-force splits (low, block, outer bits) the property tests run; the
+# id is the low bits alone when the others are the defaults.  With 3 and 2
+# the outer loop runs for graphs over 5 vertices, and with outer 3 the low
+# run grows past its least size for graphs over 7.
+SPLITS = [
+    pytest.param(dc._BRUTE_LOW_BITS, dc._BRUTE_BLOCK_BITS,
+                 dc._BRUTE_OUTER_BITS, id=str(dc._BRUTE_LOW_BITS)),
+    pytest.param(3, dc._BRUTE_BLOCK_BITS, dc._BRUTE_OUTER_BITS, id="3"),
+    pytest.param(3, 2, dc._BRUTE_OUTER_BITS, id="3-2"),
+    pytest.param(2, 2, 3, id="2-2-3"),
+]
+
+
+def _brute_matches_plain_count(vg, low_bits, block_bits, outer_bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dc, "_BRUTE_LOW_BITS", low_bits)
+        mp.setattr(dc, "_BRUTE_BLOCK_BITS", block_bits)
+        mp.setattr(dc, "_BRUTE_OUTER_BITS", outer_bits)
         for kind in (ORD, TOT):
             assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
+
+
+@pytest.mark.parametrize("low_bits, block_bits, outer_bits", SPLITS)
+@settings(max_examples=60, deadline=None)
+@given(vg=vertex_graphs())
+def test_brute_matches_plain_count(vg, low_bits, block_bits, outer_bits):
+    _brute_matches_plain_count(vg, low_bits, block_bits, outer_bits)
 
 
 @st.composite
@@ -197,17 +217,15 @@ def twin_graphs(draw):
     return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
 
 
-@pytest.mark.parametrize("low_bits", [dc._BRUTE_LOW_BITS, 3])
+@pytest.mark.parametrize("low_bits, block_bits, outer_bits", SPLITS)
 @settings(max_examples=60, deadline=None)
 @given(vg=twin_graphs())
-def test_brute_matches_plain_count_on_twins(vg, low_bits):
-    """Twins of one class often share their low neighbourhood, so many high
-    subsets pose the same constraint on the low subsets and brute force
-    reuses its size histograms."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dc, "_BRUTE_LOW_BITS", low_bits)
-        for kind in (ORD, TOT):
-            assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
+def test_brute_matches_plain_count_on_twins(vg, low_bits, block_bits,
+                                            outer_bits):
+    """Twins of one class often share their low neighbourhood, so one group
+    holds vertices of several runs, and many block and outer subsets pose
+    the same constraint on the low subsets."""
+    _brute_matches_plain_count(vg, low_bits, block_bits, outer_bits)
 
 
 def test_brute_ignores_limit_variable(monkeypatch):
@@ -230,24 +248,43 @@ def test_resolve_brute_limit():
         resolve_brute_limit(-1)
 
 
-def test_engine_class_capacity():
-    # 720720 = 2^4 3^2 5 7 11 13 has 238 classes, far more up-sets than the
-    # limit, and 582 479 vertices; the engine refuses while it counts the
-    # up-sets, before any polynomial is built, and reading only gamma and
-    # the count is refused the same way.
-    cg = build_class_graph(720720)
+def test_engine_class_capacity(monkeypatch):
+    # 27720 = 2^3 3^2 5 7 11 has 22 divisors with 4 prime factors, and
+    # 720720 = 2^4 3^2 5 7 11 13 has 46 with 6; every subset of such a rank
+    # level is an antichain, so both engine readers refuse D before the
+    # up-set walk starts.  720720 also has 582 479 vertices, which refuses
+    # D_t.
     limit = dc.ENGINE_UPSET_LIMIT
-    for engine in (class_engine_poly, class_engine_count):
-        with pytest.raises(CapacityError) as err:
-            engine(cg, ORD)
-        assert str(err.value) == (
-            f"counting up-sets of divisor classes for n=720720 reached "
-            f"{limit + 1}, over the class-engine up-set limit of {limit}")
-        with pytest.raises(CapacityError) as err:
-            engine(cg, TOT)
-        assert str(err.value) == (
-            f"n=720720 has 582479 vertices, over the class-engine limit of "
-            f"{VERTEX_LIMIT}")
+
+    def no_walk(*args):
+        raise AssertionError("the up-sets were walked")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dc, "_upset_terms", no_walk)
+        for n, widest in ((27720, 22), (720720, 46)):
+            cg = build_class_graph(n)
+            for engine in (class_engine_poly, class_engine_count):
+                with pytest.raises(CapacityError) as err:
+                    engine(cg, ORD)
+                assert str(err.value) == (
+                    f"n={n} has {widest} divisor classes of one rank, so at "
+                    f"least 2^{widest} up-sets, over the class-engine up-set "
+                    f"limit of {limit}")
+        cg = build_class_graph(720720)
+        for engine in (class_engine_poly, class_engine_count):
+            with pytest.raises(CapacityError) as err:
+                engine(cg, TOT)
+            assert str(err.value) == (
+                f"n=720720 has 582479 vertices, over the class-engine limit "
+                f"of {VERTEX_LIMIT}")
+    # Below the bound the walk counts: 2520's widest level has 11 divisors
+    # (2^11 = 2 048 up-sets at least) and it has 59 540 up-sets.
+    monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", 10_000)
+    with pytest.raises(CapacityError) as err:
+        class_engine_count(build_class_graph(2520), ORD)
+    assert str(err.value) == (
+        "counting up-sets of divisor classes for n=2520 reached 10001, over "
+        "the class-engine up-set limit of 10000")
 
 
 @pytest.mark.parametrize("kind, work", [(ORD, 28680), (TOT, 3768)])
