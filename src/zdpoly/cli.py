@@ -121,6 +121,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_table(args) -> int:
+    """One row per n with a nonempty graph, each printed as it is answered.
+    A refused n gets its capacity note on stderr and no row; the status is
+    then EXIT_CAPACITY, after the last row."""
     lo, hi = args.n_from, args.n_to
     if lo < 2:
         raise ValueError(f"range must start at 2 or above, got {lo}")
@@ -128,39 +131,49 @@ def cmd_table(args) -> int:
         raise ValueError(f"empty range: {lo}..{hi}")
     kind = _kind(args)
     value_header = "Dt(1)" if kind is DominationKind.TOTAL else "D(1)"
+    if not args.json:
+        print(f"{'n':>5} {'family':<8} {'|V|':>5} {'|E|':>6} "
+              f"{'gamma':>5} {'gamma_t':>7} {value_header:>14}")
     rows = []
+    status = EXIT_OK
     for n in range(lo, hi + 1):
         cg = build_class_graph(n)
         if cg.vertex_count == 0:
             continue
-        gamma, d_count = class_engine_count(cg, DominationKind.ORDINARY)
-        gamma_total, dt_count = class_engine_count(cg, DominationKind.TOTAL)
+        try:
+            gamma, d_count = class_engine_count(cg, DominationKind.ORDINARY)
+            gamma_total, dt_count = class_engine_count(cg,
+                                                       DominationKind.TOTAL)
+        except CapacityError as exc:
+            _note_capacity(exc)
+            status = EXIT_CAPACITY
+            continue
         count = dt_count if kind is DominationKind.TOTAL else d_count
-        tag = classify_family(factorize(n))
-        rows.append({
-            "n": n,
-            "family": tag.label,
-            "vertices": cg.vertex_count,
-            "edges": edge_count(cg),
-            "gamma": gamma,
-            "gamma_total": gamma_total,
-            "kind": kind.value,
-            "value_at_1": str(count),
-        })
+        family = classify_family(factorize(n)).label
+        if args.json:
+            rows.append({
+                "n": n,
+                "family": family,
+                "vertices": cg.vertex_count,
+                "edges": edge_count(cg),
+                "gamma": gamma,
+                "gamma_total": gamma_total,
+                "kind": kind.value,
+                "value_at_1": str(count),
+            })
+        else:
+            print(f"{n:>5} {family:<8} {cg.vertex_count:>5} "
+                  f"{edge_count(cg):>6} "
+                  f"{'undef' if gamma is None else gamma:>5} "
+                  f"{'undef' if gamma_total is None else gamma_total:>7} "
+                  f"{count:>14}")
     if args.json:
         print(json.dumps(rows))
-        return EXIT_OK
-    header = f"{'n':>5} {'family':<8} {'|V|':>5} {'|E|':>6} " \
-             f"{'gamma':>5} {'gamma_t':>7} {value_header:>14}"
-    print(header)
-    for row in rows:
-        gamma = "undef" if row["gamma"] is None else row["gamma"]
-        gamma_total = ("undef" if row["gamma_total"] is None
-                       else row["gamma_total"])
-        print(f"{row['n']:>5} {row['family']:<8} {row['vertices']:>5} "
-              f"{row['edges']:>6} {gamma:>5} {gamma_total:>7} "
-              f"{row['value_at_1']:>14}")
-    return EXIT_OK
+    return status
+
+
+def _note_capacity(exc: CapacityError) -> None:
+    print(f"zdpoly: capacity: {exc}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +241,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CapacityError as exc:
-        print(f"zdpoly: capacity: {exc}", file=sys.stderr)
+        _note_capacity(exc)
         return EXIT_CAPACITY
     except UnsupportedFamilyError as exc:
         print(f"zdpoly: {exc}", file=sys.stderr)

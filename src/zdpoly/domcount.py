@@ -29,8 +29,21 @@ For class e of size m with partner p = n/e:
     e not in U,  p in U      x^m           uncovered: every vertex selected
     e not in U,  p not in U  the term drops (e can be neither covered nor full)
 
-D is the sum of these products over all antichains A.  Total domination
-needs every class covered, so U is all classes and A is the primes p | n:
+D is the sum of these products over all antichains A.  With pi the partner
+map, the five cases read from three bitmasks of classes, U, pi(U) and
+pi(A), so an up-set's key costs a few mask operations:
+
+    U & pi(A)             the generator sizes
+    U & pi(U) & ~pi(A)    free: summed, the exponent of (1+x)
+    U & ~pi(U)            weight 1
+    ~U & pi(U)            shift: summed, the power of x
+    ~U & ~pi(U)           the term drops when this is not empty
+
+pi of class j's up-set is the down-set of its partner, so the walk over the
+antichains carries pi(U) and pi(A) with one OR each per added generator.
+
+Total domination needs every class covered, so U is all classes and A is
+the primes p | n:
 
     D_t = prod over p | n of ((1+x)^(p-1) - 1) * (1+x)^(|V| - sum (p-1)),
 
@@ -44,15 +57,17 @@ the sizes of a subset of the generators: the (1+x)-power form of
 D(G, x) = sum over W of (-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon,
 Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Merged over the
 terms, they make a row table {E: {shift: signed count}}, which two sums
-read.  The flat sum expands each row (1+x)^E once and adds it, times its
-count, at each shift: a multiply and an add per coefficient, so it counts
-2 * sum (E+1) over the (E, shift) pairs.  Horner in (1+x) goes down from the
-largest E, adds Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for
-each unit step of E with one add per live coefficient; it counts those
-adds.  Both counts come from the table before any row is built, and the
-smaller one picks the sum.  Horner wins when many shifts recur over many E
-(n = 2520: 1.9 M against 18.5 M), flat when there are few rows (prime powers,
-n = 2p, and D_t, whose 2^omega(n) rows all sit at shift 0).
+read.  The flat sum expands each row (1+x)^E once, a multiply and a floor
+division per coefficient, and adds it, times its count, at each shift: a
+multiply and an add per coefficient, so it counts 2 * (E+1) per distinct E
+and per (E, shift) pair.  Horner in (1+x) goes down from the largest E, adds
+Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for each unit step
+of E with one add per live coefficient; it counts those adds.  Both counts
+come from the table before any row is built, and the smaller one, with a
+fixed cost per Horner step added, picks the sum.  Horner wins when many
+shifts recur over many E (n = 2520: 1.9 M against 20 M), flat when there
+are few rows (prime powers, n = 2p, and D_t, whose 2^omega(n) rows all sit
+at shift 0).
 
 ``class_engine_count`` reads the domination number and the count D(1) from
 the same up-set keys (shift, free size, generator sizes) without building a
@@ -71,7 +86,8 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from operator import add
+from itertools import chain
+from operator import add, getitem
 
 from .errors import CapacityError
 from .numtheory import factorize
@@ -81,12 +97,13 @@ from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 DEFAULT_BRUTE_LIMIT = 26
 # Most up-sets (antichains of proper divisors) the class engine enumerates
 # for D, in class_engine_poly and class_engine_count alike.  On a 2-core
-# Xeon with Python 3.11 a visit costs about 11 us at n = 5040 (307 958
-# up-sets, 3.4-4 s).  A rank level of w divisors means at least 2^w
-# up-sets, which refuses n = 27720 (w = 22) and 720720 (w = 46) before the
-# walk; n = 7560 (w = 14, 651 k up-sets) is refused while counting, after
-# about 3.3 s.
-ENGINE_UPSET_LIMIT = 400_000
+# Xeon with Python 3.11 a visit costs about 3 us when its term is kept
+# (n = 5040: 307 958 up-sets in 0.9 s; 10080: 1 301 608 in 4.3 s) and less
+# when it drops.  A rank level of w divisors means at least 2^w up-sets,
+# which refuses n = 27720 (w = 22) and 720720 (w = 46) before the walk;
+# n = 15120 (w = 15, 5.16 M up-sets) is refused while counting, after
+# 1.5-2 s.
+ENGINE_UPSET_LIMIT = 1_500_000
 
 # Most work class_engine_poly takes on to sum the binomial rows: the count
 # of the cheaper sum (see _assemble), checked before any row is built.  A
@@ -101,6 +118,15 @@ ENGINE_WORK_LIMIT = 30_000_000
 # Past 36 vertices each further vertex doubles the low bitsets, which hold
 # 2^16 bits at 40.
 BRUTE_CEILING = 40
+
+# What one unit step of Horner's sum costs besides its adds, in adds: the
+# new live window and the loop around it take about as long as 10 adds of
+# small ints.  It weighs in when _assemble picks a sum, not in the work
+# checked against ENGINE_WORK_LIMIT, which bounds big-int operations.  Had
+# Horner been picked by its adds alone, it would have been the slower sum
+# for 44 (n, kind) with n < 1200, all with |V| <= 109 (2-core Xeon,
+# Python 3.11).
+_HORNER_STEP_COST = 10
 
 # How brute force splits the vertices (see brute_force_poly): the subsets
 # of the low and the block vertices are the bit positions of bitsets, and
@@ -320,13 +346,15 @@ def _engine_terms(cg, kind):
     drop = 0
     if kind is DominationKind.TOTAL:
         # The minimal classes are the primes p | n, the classes in no other
-        # class's up-set; their partners n/p each have to be occupied.
-        primes = every = (1 << len(sizes)) - 1
+        # class's up-set; their partners n/p each have to be occupied, and
+        # with U all classes every other class is free.
+        primes = (1 << len(sizes)) - 1
         for j, upset in enumerate(up):
             primes &= ~upset | 1 << j
-        terms = {_term(primes, every, partner, sizes): 1}
+        gens = tuple(sorted(sizes[partner[p]] for p in _bits(primes)))
+        terms = {(0, cg.vertex_count - sum(gens), gens): 1}
         if primes.bit_count() == 1:
-            drop = sizes[partner[primes.bit_length() - 1]]
+            drop = gens[0]
     else:
         widest = _widest_rank_level(cg)
         if 1 << widest > ENGINE_UPSET_LIMIT:
@@ -337,6 +365,14 @@ def _engine_terms(cg, kind):
         terms = _upset_terms(cg.n, up, partner, sizes)
     check_vertex_limit(cg, "class-engine")
     return terms, drop
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _widest_rank_level(cg):
@@ -356,98 +392,111 @@ def _widest_rank_level(cg):
 
 
 def _upset_terms(n, up, partner, sizes):
-    """Count the up-sets by their _term key, enumerating antichains in
-    ascending divisor order: a class joins only when it is outside the
-    up-set of the classes already chosen."""
+    """Count the up-sets by their key, enumerating antichains A in
+    ascending divisor order: a class joins only when it is past the last
+    generator and outside the up-set U of those already chosen.
+
+    The walk carries U, pi(U) and pi(A) as bitmasks, pi the partner map,
+    and reads the key from them by the mask rules in the module docstring,
+    each size a sum of byte-table lookups.  The classes are the divisors
+    1 < d < n in ascending order, so pi reverses them: pi of a mask is its
+    k bits reversed, and pi of class j's up-set is the down-set of its
+    partner."""
     k = len(sizes)
-    terms = Counter()
+    every = (1 << k) - 1
+    grow = {1 << j: (up[j], int(f"{up[j]:0{k}b}"[::-1], 2), 1 << partner[j])
+            for j in range(k)}  # bit of j -> (up-set, its image, pi(j))
+    nbytes = (k + 7) // 8
+    tables = []  # per byte of a mask: class sizes summed over its bits
+    for low in range(0, k, 8):
+        table = [0]
+        for m in sizes[low:low + 8]:
+            table += [t + m for t in table]
+        tables.append(table)
+    if nbytes == 1:
+        size = tables[0].__getitem__
+    else:
+        def size(mask):
+            return sum(map(getitem, tables, mask.to_bytes(nbytes, "little")))
+    gens_of = {}  # U & pi(A) -> sorted generator sizes
+    terms = {}
     count = 0
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, every)]  # (U, pi(U), pi(A), candidate bits)
     while stack:
-        start, gens, upset = stack.pop()
+        upset, pi_upset, pi_gens, candidates = stack.pop()
         count += 1
         if count > ENGINE_UPSET_LIMIT:
             raise CapacityError(
                 f"counting up-sets of divisor classes for n={n} reached "
                 f"{count}, over the class-engine up-set limit of "
                 f"{ENGINE_UPSET_LIMIT}")
-        key = _term(gens, upset, partner, sizes)
-        if key is not None:
-            terms[key] += 1
-        for j in range(start, k):
-            if not upset >> j & 1:
-                stack.append((j + 1, gens | 1 << j, upset | up[j]))
+        if upset | pi_upset == every:
+            generators = upset & pi_gens
+            gen_sizes = gens_of.get(generators)
+            if gen_sizes is None:
+                gen_sizes = gens_of[generators] = tuple(
+                    sorted(sizes[e] for e in _bits(generators)))
+            key = (size(pi_upset & ~upset),
+                   size(upset & pi_upset & ~pi_gens), gen_sizes)
+            terms[key] = terms.get(key, 0) + 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            up_j, pi_up_j, pi_j = grow[low]
+            stack.append((upset | up_j, pi_upset | pi_up_j, pi_gens | pi_j,
+                          candidates & ~up_j))
     return terms
-
-
-def _term(gens, upset, partner, sizes):
-    """(shift, free size, sorted generator sizes) of the product of class
-    weights for the antichain bitmask ``gens`` and its up-set ``upset``, or
-    None when the term drops."""
-    shift = free = 0
-    gen_sizes = []
-    for e, m in enumerate(sizes):
-        p = partner[e]
-        if upset >> e & 1:
-            if gens >> p & 1:
-                gen_sizes.append(m)
-            elif upset >> p & 1:
-                free += m
-        elif upset >> p & 1:
-            shift += m
-        else:
-            return None
-    return shift, free, tuple(sorted(gen_sizes))
 
 
 def _assemble(terms, nv):
     """(rows, work, sum_rows) for the terms {(shift, free, gens): count}:
     the row table {E: {shift: signed count of x^shift * (1+x)^E}}, and the
-    cheaper of _flat_sum and _horner_sum with the work it counts.  Each
-    distinct ``gens``, and each prefix of one, multiplies out to its signed
-    powers of (1+x) once."""
-    offsets = {(): {0: 1}}  # gens -> {E: signed count of (1+x)^E}
+    cheaper of _flat_sum and _horner_sum with the work it counts.
 
-    def expand(gens):
-        signed = offsets.get(gens)
-        if signed is None:
-            m = gens[-1]
-            signed = {}
-            for e, c in expand(gens[:-1]).items():
-                signed[e + m] = signed.get(e + m, 0) + c
-                signed[e] = signed.get(e, 0) - c
-            signed = offsets[gens] = {e: c for e, c in signed.items() if c}
-        return signed
-
+    The keys are grouped by ``gens`` into tables of (E, shift) entries,
+    starting at E = free.  Going from the longest ``gens`` down, each
+    table folds into the one of its prefix: with m the last size, since
+    (1+x)^m - 1 multiplies out to two signed powers, entry (E, shift, c)
+    adds c at (E + m, shift) and -c at (E, shift).  The table of the empty
+    ``gens`` is the row table."""
     # (E, shift) is keyed as the int E * width + shift: a Counter of pairs
     # took about twice as long to fill at n = 2520.
     width = nv + 1
-    table = {}
+    levels = [{} for _ in range(1 + max((len(gens) for _, _, gens in terms),
+                                        default=0))]
     for (shift, free, gens), count in terms.items():
-        base = free * width + shift
-        for e, c in expand(gens).items():
-            key = base + e * width
-            table[key] = table.get(key, 0) + c * count
+        levels[len(gens)].setdefault(gens, {})[free * width + shift] = count
+    while len(levels) > 1:
+        deepest = levels.pop()
+        prefixes = levels[-1]
+        for gens, table in deepest.items():
+            prefix = prefixes.setdefault(gens[:-1], {})
+            step = gens[-1] * width
+            for key, c in table.items():
+                if c:
+                    prefix[key + step] = prefix.get(key + step, 0) + c
+                    prefix[key] = prefix.get(key, 0) - c
     rows = {}
-    for key, c in table.items():
+    for key, c in levels[0].get((), {}).items():
         if c:
             e, shift = divmod(key, width)
             rows.setdefault(e, {})[shift] = c
-    flat = 2 * sum((e + 1) * len(shifts) for e, shifts in rows.items())
+    flat = sum((e + 1) * (2 * len(shifts) + 2) for e, shifts in rows.items())
     horner, lo, reach = 0, nv, 0
     for e in range(max(rows, default=0), 0, -1):
         if e in rows:
             lo = min(lo, min(rows[e]))
             reach = max(reach, e + max(rows[e]))
         horner += reach - e - lo + 1
-    if horner < flat:
+    if horner + _HORNER_STEP_COST * max(rows, default=0) < flat:
         return rows, horner, _horner_sum
     return rows, flat, _flat_sum
 
 
 def _flat_sum(rows, nv):
-    """Add each row (1+x)^E, expanded once, times its count at each shift:
-    one multiply and one add per coefficient."""
+    """Expand each row (1+x)^E once, a multiply and a floor division per
+    coefficient, and add it times its count at each shift: one multiply
+    and one add per coefficient."""
     acc = [0] * (nv + 1)
     for e, shifts in rows.items():
         row = binomial_expand(e).coeffs
@@ -460,15 +509,20 @@ def _flat_sum(rows, nv):
 def _horner_sum(rows, nv):
     """Horner in (1+x): going down from the largest E, add Q_E(x), the sum
     of count * x^shift, then multiply by (1+x) for the step down to E - 1
-    with one add acc[d] += acc[d-1] per coefficient of the live range."""
-    acc = [0] * (nv + 1)
-    lo, hi = nv, 0
+    with one add live[d] + live[d-1] per coefficient of the live window,
+    the coefficients from the lowest shift added so far up."""
+    lo, live = nv, []  # live[i] is the coefficient of x^(lo + i)
     for e in range(max(rows, default=0), -1, -1):
-        for shift, count in rows.get(e, {}).items():
-            acc[shift] += count
-            lo = min(lo, shift)
-            hi = max(hi, shift)
+        shifts = rows.get(e)
+        if shifts:
+            low = min(shifts)
+            if low < lo:
+                live[:0] = [0] * (lo - low) if live else []
+                lo = low
+            live += [0] * (max(shifts) - lo + 1 - len(live))
+            for shift, count in shifts.items():
+                live[shift - lo] += count
         if e:
-            acc[lo + 1:hi + 2] = map(add, acc[lo + 1:hi + 2], acc[lo:hi + 1])
-            hi += 1
-    return Polynomial(acc)
+            live.append(0)
+            live = list(map(add, live, chain((0,), live)))
+    return Polynomial([0] * lo + live)

@@ -377,6 +377,24 @@ def test_gamma_reaches_5040(capsys):
     assert capsys.readouterr().out == "gamma=4 gamma_total=4\n"
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_table_prints_the_rows_it_answers(json_flag):
+    """A refused n costs its own row only: 27720 is refused before its
+    up-set walk, and the four n around it are still answered."""
+    res = run_cli("table", "27718", "27722", *json_flag)
+    assert res.returncode == 3
+    assert res.stderr == (
+        "zdpoly: capacity: n=27720 has 22 divisor classes of one rank, so "
+        "at least 2^22 up-sets, over the class-engine up-set limit of "
+        f"{domcount.ENGINE_UPSET_LIMIT}\n")
+    if json_flag:
+        answered = [row["n"] for row in json.loads(res.stdout)]
+    else:
+        answered = [int(line.split()[0])
+                    for line in res.stdout.splitlines()[1:]]
+    assert answered == [27718, 27719, 27721, 27722]
+
+
 def test_table_empty_range_is_usage_error():
     res = run_cli("table", "9", "4")
     assert res.returncode == 1

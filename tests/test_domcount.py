@@ -287,7 +287,7 @@ def test_engine_class_capacity(monkeypatch):
         "the class-engine up-set limit of 10000")
 
 
-@pytest.mark.parametrize("kind, work", [(ORD, 28680), (TOT, 3768)])
+@pytest.mark.parametrize("kind, work", [(ORD, 28680), (TOT, 7536)])
 def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
     """Past ENGINE_WORK_LIMIT, class_engine_poly refuses before either sum
     builds a row; at the limit it answers."""
@@ -310,14 +310,17 @@ def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
 
 
 @pytest.mark.parametrize("n, kind, work, sum_rows", [
-    (336, ORD, 28680, "_horner_sum"),  # flat: 48 920
-    (336, TOT, 3768, "_flat_sum"),
-    (9828, ORD, 26176230, "_horner_sum"),  # flat: 264 861 944
-    (20014, ORD, 40040, "_flat_sum"),  # Horner: over 50 M
+    (288, ORD, 18336, "_horner_sum"),  # flat: 25 712
+    (336, ORD, 28680, "_horner_sum"),  # flat: 72 258
+    (336, TOT, 7536, "_flat_sum"),
+    (9828, ORD, 26176230, "_horner_sum"),  # flat: 281 757 096
+    (20014, ORD, 80076, "_flat_sum"),  # Horner: over 50 M
 ])
 def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
     """The sum the counted work picks, and its count, which the work limit
-    admits: 9828 and 20014 are in reach only through the choice."""
+    admits: 9828 and 20014 are in reach only through the choice.  The flat
+    count includes expanding each row, so 288 takes Horner, the faster
+    there."""
     cg = build_class_graph(n)
     terms, _ = dc._engine_terms(cg, kind)
     _, got_work, got_sum = dc._assemble(terms, cg.vertex_count)
@@ -388,6 +391,63 @@ def _flat_reference(terms, nv):
                 for d, c in enumerate(row, shift):
                     acc[d] += count * c
     return Polynomial(acc)
+
+
+def _reference_term(gens, upset, partner, sizes):
+    """(shift, free size, sorted generator sizes) of the product of class
+    weights for the antichain bitmask ``gens`` and its up-set ``upset``, or
+    None when the term drops: one pass over all the classes."""
+    shift = free = 0
+    gen_sizes = []
+    for e, m in enumerate(sizes):
+        p = partner[e]
+        if upset >> e & 1:
+            if gens >> p & 1:
+                gen_sizes.append(m)
+            elif upset >> p & 1:
+                free += m
+        elif upset >> p & 1:
+            shift += m
+        else:
+            return None
+    return shift, free, tuple(sorted(gen_sizes))
+
+
+def _reference_upset_terms(cg):
+    """(terms, up-sets visited) for D: the engine's up-set walk before it
+    read the keys from partner bitmasks.  Antichains are enumerated in
+    ascending divisor order, and each up-set's key is read class by class
+    by _reference_term."""
+    sizes = [c.size for c in cg.classes]
+    partner = [(mask & -mask).bit_length() - 1 for mask in cg.neighbors]
+    up = [cg.neighbors[p] for p in partner]
+    terms = Counter()
+    count = 0
+    stack = [(0, 0, 0)]
+    while stack:
+        start, gens, upset = stack.pop()
+        count += 1
+        key = _reference_term(gens, upset, partner, sizes)
+        if key is not None:
+            terms[key] += 1
+        for j in range(start, len(sizes)):
+            if not upset >> j & 1:
+                stack.append((j + 1, gens | 1 << j, upset | up[j]))
+    return terms, count
+
+
+def test_upset_walk_matches_reference(monkeypatch):
+    """For D at every n below 1200 and at 2520, the engine's key table is
+    the reference walk's, and its up-set limit admits exactly as many
+    up-sets as the reference visits."""
+    for n in [*range(2, 1200), 2520]:
+        cg = build_class_graph(n)
+        terms, count = _reference_upset_terms(cg)
+        monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", count)
+        assert dc._engine_terms(cg, ORD) == (terms, 0), n
+        monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", count - 1)
+        with pytest.raises(CapacityError):
+            dc._engine_terms(cg, ORD)
 
 
 def test_engine_matches_flat_reference(monkeypatch):
