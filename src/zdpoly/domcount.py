@@ -332,37 +332,32 @@ def _engine_terms(cg, kind):
     the counting polynomial plus drop * x, where drop is the p - 1 that D_t
     loses when n = p^alpha and 0 otherwise.
 
-    The lowest bit of ``neighbors[i]`` is the partner class n/d_i, and
-    ``neighbors[partner[j]]`` is the up-set of class j.  Each up-set
-    contributes the product of the class weights in the module docstring.
-    Raises CapacityError past ENGINE_UPSET_LIMIT up-sets (D only): at
-    once when the widest rank level of the divisors already implies more,
-    else while the walk counts them; then past zdgraph.VERTEX_LIMIT
-    vertices.
+    The classes ascend, so the partner n/d_j of class j is class k - 1 - j,
+    and ``neighbors[k - 1 - j]`` is the up-set of class j.  D_t's
+    generators are the partners n/p of the primes p | n, of p - 1 vertices
+    each.  Each up-set contributes the product of the class weights in the
+    module docstring.  Raises CapacityError past ENGINE_UPSET_LIMIT up-sets
+    (D only): at once when the widest rank level of the divisors already
+    implies more, else while the walk counts them; then past
+    zdgraph.VERTEX_LIMIT vertices.
     """
-    sizes = [c.size for c in cg.classes]
-    partner = [(mask & -mask).bit_length() - 1 for mask in cg.neighbors]
-    up = [cg.neighbors[p] for p in partner]
     drop = 0
     if kind is DominationKind.TOTAL:
-        # The minimal classes are the primes p | n, the classes in no other
-        # class's up-set; their partners n/p each have to be occupied, and
-        # with U all classes every other class is free.
-        primes = (1 << len(sizes)) - 1
-        for j, upset in enumerate(up):
-            primes &= ~upset | 1 << j
-        gens = tuple(sorted(sizes[partner[p]] for p in _bits(primes)))
+        # With U all classes, every class but the generators n/p is free.
+        # A prime n has no classes, so no generators.
+        gens = tuple(p - 1 for p, _ in factorize(cg.n).factors if p < cg.n)
         terms = {(0, cg.vertex_count - sum(gens), gens): 1}
-        if primes.bit_count() == 1:
+        if len(gens) == 1:
             drop = gens[0]
     else:
-        widest = _widest_rank_level(cg)
+        widest = _widest_rank_level(cg.n)
         if 1 << widest > ENGINE_UPSET_LIMIT:
             raise CapacityError(
                 f"n={cg.n} has {widest} divisor classes of one rank, so at "
                 f"least 2^{widest} up-sets, over the class-engine up-set "
                 f"limit of {ENGINE_UPSET_LIMIT}")
-        terms = _upset_terms(cg.n, up, partner, sizes)
+        terms = _upset_terms(cg.n, cg.neighbors[::-1],
+                             [c.size for c in cg.classes])
     check_vertex_limit(cg, "class-engine")
     return terms, drop
 
@@ -375,23 +370,20 @@ def _bits(mask):
         mask ^= low
 
 
-def _widest_rank_level(cg):
-    """The most classes whose divisors have one count of prime factors
-    (with multiplicity).  No such divisor divides another, so every subset
-    of the level is an antichain: 2^level bounds the up-sets below."""
-    primes = [p for p, _ in factorize(cg.n).factors]
-    levels = Counter()
-    for c in cg.classes:
-        d, rank = c.divisor, 0
-        for p in primes:
-            while d % p == 0:
-                d //= p
-                rank += 1
-        levels[rank] += 1
-    return max(levels.values(), default=0)
+def _widest_rank_level(n):
+    """The most proper divisors of n with one count of prime factors (with
+    multiplicity): the largest coefficient of prod over p^e || n of
+    (1 + t + ... + t^e) but those of 1 and n.  No such divisor divides
+    another, so every subset of the level is an antichain: 2^level bounds
+    the up-sets below."""
+    levels = [1]
+    for _, e in factorize(n).factors:
+        levels = [sum(levels[max(0, r - e):r + 1])
+                  for r in range(len(levels) + e)]
+    return max(levels[1:-1], default=0)
 
 
-def _upset_terms(n, up, partner, sizes):
+def _upset_terms(n, up, sizes):
     """Count the up-sets by their key, enumerating antichains A in
     ascending divisor order: a class joins only when it is past the last
     generator and outside the up-set U of those already chosen.
@@ -399,12 +391,12 @@ def _upset_terms(n, up, partner, sizes):
     The walk carries U, pi(U) and pi(A) as bitmasks, pi the partner map,
     and reads the key from them by the mask rules in the module docstring,
     each size a sum of byte-table lookups.  The classes are the divisors
-    1 < d < n in ascending order, so pi reverses them: pi of a mask is its
-    k bits reversed, and pi of class j's up-set is the down-set of its
-    partner."""
+    1 < d < n in ascending order, so pi reverses them: pi(j) = k - 1 - j,
+    pi of a mask is its k bits reversed, and pi of class j's up-set is the
+    down-set of its partner."""
     k = len(sizes)
     every = (1 << k) - 1
-    grow = {1 << j: (up[j], int(f"{up[j]:0{k}b}"[::-1], 2), 1 << partner[j])
+    grow = {1 << j: (up[j], int(f"{up[j]:0{k}b}"[::-1], 2), 1 << k - 1 - j)
             for j in range(k)}  # bit of j -> (up-set, its image, pi(j))
     nbytes = (k + 7) // 8
     tables = []  # per byte of a mask: class sizes summed over its bits

@@ -1,7 +1,9 @@
-"""Integer arithmetic: factorization, divisors, totients, and the shape of n.
+"""Integer arithmetic: the factorization of n and the shape it gives n.
 
 Everything here is exact and deterministic; trial division is plenty for the
-moduli this package targets (a few hundred up to a few million).
+moduli this package targets (a few hundred up to a few million).  The
+divisors of n and their totients are built from the factorization where
+they are used, in ``zdgraph.build_class_graph``.
 """
 
 from __future__ import annotations
@@ -75,34 +77,6 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
-
-
-def proper_divisors(n: int) -> list[int]:
-    """Divisors d of n with 1 < d < n, ascending.  Empty exactly when n is prime."""
-    if n < 2:
-        raise ValueError(f"proper_divisors requires n >= 2, got {n}")
-    small, large = [], []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
-
-
-def totient(n: int) -> int:
-    """Euler's phi.  totient(1) == 1 by convention."""
-    if n < 1:
-        raise ValueError(f"totient requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    result = n
-    for p, _ in factorize(n).factors:
-        result -= result // p
-    return result
 
 
 def classify_family(f: Factorization) -> FamilyTag:

@@ -102,20 +102,18 @@ def _timed(fn):
 def _gamma_pair(cg: ClassGraph, kind: DominationKind,
                 outcomes: dict[str, MethodOutcome]):
     """Domination numbers for the report, from the class engine only, as
-    in ``gamma`` and ``table``: read from the engine's polynomial for
-    ``kind`` and from its up-set keys for the other kind; None where the
-    engine was refused."""
-    gammas: dict[DominationKind, int | None] = {}
-    for k in DominationKind:
-        if k is kind:
-            poly = outcomes[METHOD_CLASSES].polynomial
-            gammas[k] = None if poly is None else gamma_from_poly(poly)
-        else:
-            try:
-                gammas[k], _ = class_engine_count(cg, k)
-            except CapacityError:
-                gammas[k] = None
-    return gammas[DominationKind.ORDINARY], gammas[DominationKind.TOTAL]
+    in ``gamma`` and ``table``, by one rule for both kinds: read from the
+    engine's polynomial when it was built, else from its up-set keys, else
+    None where the engine was refused."""
+    gammas = []
+    for k in DominationKind:  # ORDINARY, then TOTAL
+        poly = outcomes[METHOD_CLASSES].polynomial if k is kind else None
+        try:
+            gammas.append(class_engine_count(cg, k)[0] if poly is None
+                          else gamma_from_poly(poly))
+        except CapacityError:
+            gammas.append(None)
+    return tuple(gammas)
 
 
 def run_verification(n: int, kind: DominationKind,

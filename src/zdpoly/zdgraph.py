@@ -20,7 +20,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .numtheory import proper_divisors, totient
+from .numtheory import factorize
 
 # Most vertices taken on by anything that builds |V|-sized data.  A counting
 # polynomial has |V| + 1 coefficients of up to |V| bits: for n = 70046
@@ -31,7 +31,7 @@ VERTEX_LIMIT = 50_000
 
 
 class DivisorClass(NamedTuple):
-    """The vertices v with gcd(v, n) == divisor; there are totient(n/divisor)
+    """The vertices v with gcd(v, n) == divisor; there are phi(n/divisor)
     of them."""
 
     divisor: int
@@ -41,11 +41,12 @@ class DivisorClass(NamedTuple):
 class ClassGraph(NamedTuple):
     """Divisor-class compression of the zero-divisor graph of Z_n.
 
-    ``classes`` is ordered by ascending divisor d_0 < d_1 < ...  Bit j of
+    ``classes`` is ordered by ascending divisor d_0 < ... < d_(k-1), so
+    d -> n/d reverses it: the partner n/d_i is class k - 1 - i.  Bit j of
     ``neighbors[i]`` is set exactly when n | d_i * d_j, so bit i marks class
     i as an internal clique.  Since n | d_i * d_j iff n/d_i | d_j,
-    ``neighbors[i]`` is also the up-set of class n/d_i in the divisibility
-    order, and its lowest set bit is that class.
+    ``neighbors[i]`` is also the up-set of the partner class in the
+    divisibility order, and its lowest set bit is that class.
     """
 
     n: int
@@ -77,12 +78,23 @@ class VertexGraph(NamedTuple):
 
 def build_class_graph(n: int) -> ClassGraph:
     """Compressed zero-divisor graph of Z_n.  n must be >= 2; a prime n yields
-    the empty graph (no classes)."""
+    the empty graph (no classes).
+
+    The divisors d of n and the class sizes phi(n/d) are built together
+    from the factorization, one prime power p^e at a time: the divisor
+    d * p^i takes the factor phi(p^(e-i)), since phi is multiplicative.
+    The classes are the divisors other than 1 and n.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    divisors = proper_divisors(n)
-    classes = tuple(DivisorClass(divisor=d, size=totient(n // d))
-                    for d in divisors)
+    pairs = [(1, 1)]  # (d, phi(m/d)), m the product of the powers so far
+    for p, e in factorize(n).factors:
+        phi = [1] + [p ** (j - 1) * (p - 1) for j in range(1, e + 1)]
+        pairs = [(d * p ** i, m * phi[e - i])
+                 for d, m in pairs for i in range(e + 1)]
+    classes = tuple(DivisorClass(divisor=d, size=m)
+                    for d, m in sorted(pairs)[1:-1])
+    divisors = [c.divisor for c in classes]
     neighbors = tuple(
         sum(1 << j for j, e in enumerate(divisors) if (d * e) % n == 0)
         for d in divisors)

@@ -8,13 +8,14 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from totient_reference import totient
 
 from zdpoly.closedform import (closed_domination, closed_total_domination,
                                complete_graph_polys, join_domination,
                                star_polys)
 from zdpoly.domcount import DominationKind, brute_force_poly, class_engine_poly
 from zdpoly.errors import UnsupportedFamilyError
-from zdpoly.numtheory import Family, FamilyTag, classify_family, factorize, totient
+from zdpoly.numtheory import Family, FamilyTag, classify_family, factorize
 from zdpoly.polyring import ONE, ZERO, Polynomial, binomial_expand
 from zdpoly.zdgraph import VertexGraph, build_class_graph
 

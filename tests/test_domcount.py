@@ -17,6 +17,7 @@ from zdpoly.domcount import (DominationKind, brute_force_poly,
                              class_engine_poly, gamma_from_poly,
                              resolve_brute_limit)
 from zdpoly.errors import CapacityError
+from zdpoly.numtheory import factorize
 from zdpoly.polyring import Polynomial, binomial_expand
 from zdpoly.zdgraph import (VERTEX_LIMIT, VertexGraph, build_class_graph,
                             expand_vertex_graph)
@@ -434,6 +435,30 @@ def _reference_upset_terms(cg):
             if not upset >> j & 1:
                 stack.append((j + 1, gens | 1 << j, upset | up[j]))
     return terms, count
+
+
+def _reference_widest_rank_level(cg):
+    """The most classes whose divisors have one count of prime factors
+    (with multiplicity), each class's divisor trial-divided."""
+    primes = [p for p, _ in factorize(cg.n).factors]
+    levels = Counter()
+    for c in cg.classes:
+        d, rank = c.divisor, 0
+        for p in primes:
+            while d % p == 0:
+                d //= p
+                rank += 1
+        levels[rank] += 1
+    return max(levels.values(), default=0)
+
+
+def test_widest_rank_level_from_the_exponents():
+    for n in range(2, 10_000):
+        assert (dc._widest_rank_level(n)
+                == _reference_widest_rank_level(build_class_graph(n))), n
+    for n, widest in ((27720, 22), (720720, 46)):
+        assert (dc._widest_rank_level(n) == widest
+                == _reference_widest_rank_level(build_class_graph(n)))
 
 
 def test_upset_walk_matches_reference(monkeypatch):

@@ -1,11 +1,11 @@
-"""Factorization, divisors, totients, and family classification."""
+"""Factorization, family classification, and the totient reference."""
 
 import math
 
 import pytest
+from totient_reference import totient
 
-from zdpoly.numtheory import (Family, classify_family, factorize,
-                              proper_divisors, totient)
+from zdpoly.numtheory import Family, classify_family, factorize
 
 
 def test_factorize_rejects_small():
@@ -36,27 +36,6 @@ def test_prime_has_one_factor():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(2, 31):
         assert (factorize(n).factors == ((n, 1),)) == (n in primes)
-
-
-def test_proper_divisors_basic():
-    assert proper_divisors(12) == [2, 3, 4, 6]
-    assert proper_divisors(7) == []
-    assert proper_divisors(4) == [2]
-    assert proper_divisors(75) == [3, 5, 15, 25]
-    with pytest.raises(ValueError):
-        proper_divisors(1)
-
-
-def test_proper_divisors_exhaustive_small():
-    for n in range(2, 500):
-        assert proper_divisors(n) == [d for d in range(2, n) if n % d == 0]
-
-
-def test_divisor_class_sizes_partition_zero_divisors():
-    # sum of phi(n/d) over proper divisors equals the zero-divisor count
-    for n in range(2, 10_001):
-        assert (sum(totient(n // d) for d in proper_divisors(n))
-                == n - 1 - totient(n))
 
 
 def test_totient_against_gcd_count():

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+import zdpoly.domcount as dc
 from zdpoly import verify
-from zdpoly.domcount import DominationKind
+from zdpoly.domcount import DominationKind, class_engine_count
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial
 from zdpoly.verify import (METHOD_BRUTE, METHOD_CLASSES, METHOD_CLOSED,
@@ -114,6 +115,17 @@ def test_closed_form_refused_over_vertex_limit(monkeypatch):
         compute(METHOD_CLOSED, build_class_graph(200006), ORD)
     assert str(err.value) == ("n=200006 has 100003 vertices, over the "
                               "closed-form limit of 50000")
+
+
+def test_gamma_read_from_the_keys_when_the_polynomial_is_refused(monkeypatch):
+    # The engine's polynomial is refused over the work limit after the
+    # up-set walk; gamma is then read from the up-set keys, as `gamma` does.
+    monkeypatch.setattr(dc, "ENGINE_WORK_LIMIT", 0)
+    rep = run_verification(360, ORD)
+    assert rep.outcomes[METHOD_CLASSES].polynomial is None
+    cg = build_class_graph(360)
+    assert rep.gamma == class_engine_count(cg, ORD)[0] == 3
+    assert rep.gamma_total == class_engine_count(cg, TOT)[0]
 
 
 def test_mismatch_lists_every_running_method():

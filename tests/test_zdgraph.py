@@ -1,12 +1,13 @@
 """Structure of the class-compressed and expanded zero-divisor graphs."""
 
+from collections import Counter
 from math import gcd
 
 import pytest
+from totient_reference import totient
 
 from zdpoly import zdgraph
 from zdpoly.errors import CapacityError
-from zdpoly.numtheory import totient
 from zdpoly.zdgraph import (build_class_graph, edge_count, edge_list,
                             expand_vertex_graph, export_dot)
 
@@ -73,16 +74,36 @@ def test_adjacency_matrix_invariants():
             if (cg.classes[i].divisor * cg.classes[j].divisor) % n == 0]
 
 
+def test_classes_are_the_proper_divisors():
+    for n in range(2, 2000):
+        assert [c.divisor for c in build_class_graph(n).classes] == [
+            d for d in range(2, n) if n % d == 0], n
+
+
+def test_class_sizes_count_the_vertices_of_each_gcd():
+    for n in range(2, 2000):
+        cg = build_class_graph(n)
+        by_gcd = Counter(gcd(v, n) for v in range(1, n))
+        for c in cg.classes:
+            assert c.size == by_gcd[c.divisor] == totient(n // c.divisor), n
+    # the classes partition the nonzero zero-divisors
+    for n in range(2, 10_001):
+        assert build_class_graph(n).vertex_count == n - 1 - totient(n), n
+
+
 def test_neighbor_masks_pin_rule_and_partner():
-    for n in (8, 12, 30, 75, 100, 360):
+    for n in range(2, 2000):
         cg = build_class_graph(n)
         divisors = [c.divisor for c in cg.classes]
+        k = len(divisors)
         for i, di in enumerate(divisors):
             assert cg.neighbors[i] == sum(
                 1 << j for j, dj in enumerate(divisors) if (di * dj) % n == 0)
-            # the lowest neighbour is the partner class n/d_i
+            # the lowest neighbour is the partner class n/d_i, class k-1-i,
+            # which the class engine relies on
             low = cg.neighbors[i] & -cg.neighbors[i]
-            assert divisors[low.bit_length() - 1] == n // di
+            assert low.bit_length() - 1 == k - 1 - i, (n, i)
+            assert divisors[k - 1 - i] == n // di
 
 
 def test_expansion_matches_direct_definition():
