@@ -1,4 +1,5 @@
-"""Factorization, family classification, and the totient reference."""
+"""Factorization, the proper divisors built from it, family classification,
+and the totient reference."""
 
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from totient_reference import totient
 
 from zdpoly.numtheory import Family, classify_family, factorize
+from zdpoly.zdgraph import build_class_graph
 
 
 def test_factorize_rejects_small():
@@ -36,6 +38,26 @@ def test_prime_has_one_factor():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(2, 31):
         assert (factorize(n).factors == ((n, 1),)) == (n in primes)
+
+
+def proper_divisors(n):
+    # the divisors other than 1 and n, built from factorize(n) by the class
+    # graph, one class per divisor
+    return [c.divisor for c in build_class_graph(n).classes]
+
+
+def test_proper_divisors_basic():
+    assert proper_divisors(12) == [2, 3, 4, 6]
+    assert proper_divisors(7) == []
+    assert proper_divisors(4) == [2]
+    assert proper_divisors(75) == [3, 5, 15, 25]
+    with pytest.raises(ValueError):
+        proper_divisors(1)
+
+
+def test_proper_divisors_exhaustive_small():
+    for n in range(2, 2000):
+        assert proper_divisors(n) == [d for d in range(2, n) if n % d == 0], n
 
 
 def test_totient_against_gcd_count():
