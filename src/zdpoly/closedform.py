@@ -13,13 +13,18 @@ Throughout, coefficient sums like
 are evaluated as the polynomial product ((1+x)^f1 - 1)((1+x)^f2 - 1)(1+x)^f3,
 which has exactly those coefficients; shifts x^t implement forced selections
 of t vertices.
+
+The public readers refuse before any formula runs: a family with no
+formula, a tag that is not n's classification, and a graph over
+zdgraph.VERTEX_LIMIT, whatever the caller.
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedFamilyError
-from .numtheory import Family, FamilyTag
+from .numtheory import Family, FamilyTag, classify_family, factorize
 from .polyring import ONE, ZERO, Polynomial, binomial_expand
+from .zdgraph import build_class_graph, check_vertex_limit
 
 
 def complete_graph_polys(m: int) -> tuple[Polynomial, Polynomial]:
@@ -104,7 +109,8 @@ def _phi_power(p: int, j: int) -> int:
 
 
 def _palpha_D(p: int, alpha: int) -> Polynomial:
-    """Dominating sets of the prime-power graph, n = p^alpha, alpha >= 2.
+    """Dominating sets of the prime-power graph, n = p^alpha, alpha >= 3;
+    n = p^2 is the P_SQUARE family, the complete graph K_(p-1).
 
     Classes are indexed by gcd p^r; the class at level r can serve as the
     innermost selected clique level only for r up to alpha/2.  Each such r
@@ -146,62 +152,46 @@ def _palpha_Dt(p: int, alpha: int) -> Polynomial:
     return _atleast_one(p - 1) * _atleast_one(nv - (p - 1))
 
 
-# One entry per family: n rebuilt from the tag, then the D and the D_t
-# formula, each a function of the tag.
+# The D and the D_t formula of each family, each a function of the tag.
 _FORMULAS = {
-    Family.TWO_P: (
-        lambda t: 2 * t.p,
-        lambda t: star_polys(t.p - 1)[0],
-        lambda t: star_polys(t.p - 1)[1]),
-    Family.P_SQUARE: (
-        lambda t: t.p ** 2,
-        lambda t: complete_graph_polys(t.p - 1)[0],
-        lambda t: complete_graph_polys(t.p - 1)[1]),
+    Family.TWO_P: (lambda t: star_polys(t.p - 1)[0],
+                   lambda t: star_polys(t.p - 1)[1]),
+    Family.P_SQUARE: (lambda t: complete_graph_polys(t.p - 1)[0],
+                      lambda t: complete_graph_polys(t.p - 1)[1]),
     Family.PQ: (
-        lambda t: t.p * t.q,
         lambda t: join_domination(_monomial(t.q - 1), _monomial(t.p - 1),
                                   t.q - 1, t.p - 1),
         lambda t: _atleast_one(t.q - 1) * _atleast_one(t.p - 1)),
-    Family.P_SQUARE_Q: (
-        lambda t: t.p ** 2 * t.q,
-        lambda t: sum(_psquareq_cases(t.p, t.q), ZERO),
-        lambda t: _psquareq_cases(t.p, t.q)[0]),
-    Family.PQR: (
-        lambda t: t.p * t.q * t.r,
-        lambda t: sum(_pqr_cases(t.p, t.q, t.r), ZERO),
-        lambda t: _pqr_cases(t.p, t.q, t.r)[0]),
-    Family.P_ALPHA: (
-        lambda t: t.p ** t.alpha,
-        lambda t: (complete_graph_polys(t.p - 1)[0] if t.alpha == 2
-                   else _palpha_D(t.p, t.alpha)),
-        lambda t: (complete_graph_polys(t.p - 1)[1] if t.alpha == 2
-                   else _palpha_Dt(t.p, t.alpha))),
+    Family.P_SQUARE_Q: (lambda t: sum(_psquareq_cases(t.p, t.q), ZERO),
+                        lambda t: _psquareq_cases(t.p, t.q)[0]),
+    Family.PQR: (lambda t: sum(_pqr_cases(t.p, t.q, t.r), ZERO),
+                 lambda t: _pqr_cases(t.p, t.q, t.r)[0]),
+    Family.P_ALPHA: (lambda t: _palpha_D(t.p, t.alpha),
+                     lambda t: _palpha_Dt(t.p, t.alpha)),
 }
 
 
 def _formulas(n: int, tag: FamilyTag, what: str):
-    """The (D, D_t) formulas of the tag's family, once the tag is checked
-    to describe n."""
+    """The (D, D_t) formulas of the tag's family, checked before any of
+    them runs: UnsupportedFamilyError when the family has no formula,
+    ValueError when the tag is not ``classify_family`` of n, and
+    CapacityError when the graph is over zdgraph.VERTEX_LIMIT."""
     if tag.family not in _FORMULAS:
         raise UnsupportedFamilyError(
             f"no closed-form {what} formula applies to n={n}")
-    rebuild, domination, total_domination = _FORMULAS[tag.family]
-    expected = rebuild(tag)
-    if expected != n:
-        raise ValueError(
-            f"family tag {tag} describes {expected}, not {n}")
-    return domination, total_domination
+    if tag != classify_family(factorize(n)):
+        raise ValueError(f"family tag {tag} is not the one of n={n}")
+    check_vertex_limit(build_class_graph(n), "closed-form")
+    return _FORMULAS[tag.family]
 
 
 def closed_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Domination polynomial of the zero-divisor graph of Z_n from the
-    family's closed form.  Raises UnsupportedFamilyError when no formula
-    covers the family."""
+    family's closed form.  Raises as ``_formulas`` does."""
     return _formulas(n, tag, "domination")[0](tag)
 
 
 def closed_total_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Total-domination polynomial of the zero-divisor graph of Z_n from the
-    family's closed form.  Raises UnsupportedFamilyError when no formula
-    covers the family."""
+    family's closed form.  Raises as ``_formulas`` does."""
     return _formulas(n, tag, "total-domination")[1](tag)

@@ -336,30 +336,27 @@ def _engine_terms(cg, kind):
     and ``neighbors[k - 1 - j]`` is the up-set of class j.  D_t's
     generators are the partners n/p of the primes p | n, of p - 1 vertices
     each.  Each up-set contributes the product of the class weights in the
-    module docstring.  Raises CapacityError past ENGINE_UPSET_LIMIT up-sets
-    (D only): at once when the widest rank level of the divisors already
-    implies more, else while the walk counts them; then past
-    zdgraph.VERTEX_LIMIT vertices.
+    module docstring.  Raises CapacityError before any up-set walk: first
+    (D only) when the widest rank level of the divisors implies more than
+    ENGINE_UPSET_LIMIT up-sets, then (both kinds) past zdgraph.VERTEX_LIMIT
+    vertices; and during the walk, once it counts past ENGINE_UPSET_LIMIT.
     """
-    drop = 0
-    if kind is DominationKind.TOTAL:
-        # With U all classes, every class but the generators n/p is free.
-        # A prime n has no classes, so no generators.
-        gens = tuple(p - 1 for p, _ in factorize(cg.n).factors if p < cg.n)
-        terms = {(0, cg.vertex_count - sum(gens), gens): 1}
-        if len(gens) == 1:
-            drop = gens[0]
-    else:
+    if kind is DominationKind.ORDINARY:
         widest = _widest_rank_level(cg.n)
         if 1 << widest > ENGINE_UPSET_LIMIT:
             raise CapacityError(
                 f"n={cg.n} has {widest} divisor classes of one rank, so at "
                 f"least 2^{widest} up-sets, over the class-engine up-set "
                 f"limit of {ENGINE_UPSET_LIMIT}")
-        terms = _upset_terms(cg.n, cg.neighbors[::-1],
-                             [c.size for c in cg.classes])
     check_vertex_limit(cg, "class-engine")
-    return terms, drop
+    if kind is DominationKind.ORDINARY:
+        return _upset_terms(cg.n, cg.neighbors[::-1],
+                            [c.size for c in cg.classes]), 0
+    # With U all classes, every class but the generators n/p is free.  A
+    # prime n has no classes, so no generators.
+    gens = tuple(p - 1 for p, _ in factorize(cg.n).factors if p < cg.n)
+    return ({(0, cg.vertex_count - sum(gens), gens): 1},
+            gens[0] if len(gens) == 1 else 0)
 
 
 def _bits(mask):

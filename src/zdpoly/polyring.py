@@ -96,7 +96,6 @@ class Polynomial:
 
 ZERO = Polynomial()
 ONE = Polynomial((1,))
-X = Polynomial((0, 1))
 
 
 def binomial_expand(m: int) -> Polynomial:

@@ -17,10 +17,9 @@ from .domcount import (DominationKind, brute_force_poly, check_brute_size,
                        class_engine_count, class_engine_poly,
                        gamma_from_poly, resolve_brute_limit)
 from .errors import CapacityError, UnsupportedFamilyError
-from .numtheory import Family, FamilyTag, classify_family, factorize
+from .numtheory import FamilyTag, classify_family, factorize
 from .polyring import Polynomial
-from .zdgraph import (ClassGraph, build_class_graph, check_vertex_limit,
-                      expand_vertex_graph)
+from .zdgraph import ClassGraph, build_class_graph, expand_vertex_graph
 
 METHOD_BRUTE = "brute"
 METHOD_CLASSES = "classes"
@@ -33,16 +32,14 @@ STATUS_MISMATCH = "mismatch"
 
 
 def compute(method: str, cg: ClassGraph, kind: DominationKind,
-            brute_limit: int | None = None,
-            tag: FamilyTag | None = None) -> Polynomial:
+            brute_limit: int | None = None) -> Polynomial:
     """Counting polynomial of ``cg`` by one of METHODS.
 
     ``brute_limit`` is resolved as in ``resolve_brute_limit``, and a graph
-    over it is refused before it is expanded.  ``tag`` is the family of
-    ``cg.n``; it is classified here when not given.  Raises CapacityError
-    when the method's limit is exceeded (for the closed forms, as for the
-    engine, zdgraph.VERTEX_LIMIT) and UnsupportedFamilyError when no closed
-    form covers the family.
+    over it is refused before it is expanded.  Each method checks its own
+    limits before its work and raises CapacityError past them.  The closed
+    forms take ``classify_family`` of ``cg.n`` and raise
+    UnsupportedFamilyError when no formula covers it.
     """
     if method == METHOD_BRUTE:
         limit = resolve_brute_limit(brute_limit)
@@ -51,13 +48,9 @@ def compute(method: str, cg: ClassGraph, kind: DominationKind,
     if method == METHOD_CLASSES:
         return class_engine_poly(cg, kind)
     if method == METHOD_CLOSED:
-        if tag is None:
-            tag = classify_family(factorize(cg.n))
-        if tag.family is not Family.OTHER:  # OTHER has no formula to run
-            check_vertex_limit(cg, "closed-form")
-        if kind is DominationKind.ORDINARY:
-            return closed_domination(cg.n, tag)
-        return closed_total_domination(cg.n, tag)
+        closed = (closed_domination if kind is DominationKind.ORDINARY
+                  else closed_total_domination)
+        return closed(cg.n, classify_family(factorize(cg.n)))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -119,9 +112,8 @@ def _gamma_pair(cg: ClassGraph, kind: DominationKind,
 def run_verification(n: int, kind: DominationKind,
                      brute_limit: int | None = None) -> VerificationReport:
     cg = build_class_graph(n)
-    family = classify_family(factorize(n))
     outcomes = {
-        m: _timed(lambda m=m: compute(m, cg, kind, brute_limit, family))
+        m: _timed(lambda m=m: compute(m, cg, kind, brute_limit))
         for m in METHODS}
     ran = tuple(m for m in METHODS if outcomes[m].polynomial is not None)
     polys = {m: outcomes[m].polynomial for m in ran}
@@ -141,7 +133,7 @@ def run_verification(n: int, kind: DominationKind,
         status = STATUS_PARTIAL
     gamma, gamma_total = _gamma_pair(cg, kind, outcomes)
     return VerificationReport(
-        n=n, family=family, kind=kind,
+        n=n, family=classify_family(factorize(n)), kind=kind,
         outcomes=outcomes, status=status, compared=ran,
         disagreements=tuple(disagreements),
         gamma=gamma, gamma_total=gamma_total,

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from totient_reference import totient
 
+import zdpoly.closedform as cf
 from zdpoly.closedform import (closed_domination, closed_total_domination,
                                complete_graph_polys, join_domination,
                                star_polys)
 from zdpoly.domcount import DominationKind, brute_force_poly, class_engine_poly
-from zdpoly.errors import UnsupportedFamilyError
+from zdpoly.errors import CapacityError, UnsupportedFamilyError
 from zdpoly.numtheory import Family, FamilyTag, classify_family, factorize
 from zdpoly.polyring import ONE, ZERO, Polynomial, binomial_expand
 from zdpoly.zdgraph import VertexGraph, build_class_graph
@@ -393,13 +394,33 @@ def test_unsupported_family_raises():
             closed_total_domination(n, tag)
 
 
-def test_tag_modulus_consistency_checked():
-    tag45 = classify_family(factorize(45))
-    with pytest.raises(ValueError):
-        closed_domination(44, tag45)
+TAG_45 = classify_family(factorize(45))
 
 
-def test_alpha_two_routes_to_complete_graph():
-    tag = FamilyTag(Family.P_ALPHA, p=5, alpha=2, hypothesis_met=True)
-    assert closed_domination(25, tag) == complete_graph_polys(4)[0]
-    assert closed_total_domination(25, tag) == complete_graph_polys(4)[1]
+@pytest.mark.parametrize("n, tag", [
+    (44, TAG_45),
+    (25, FamilyTag(Family.P_ALPHA, p=5, alpha=2, hypothesis_met=True)),
+    (15, FamilyTag(Family.PQ, p=3, q=5, hypothesis_met=True)),
+    (45, TAG_45._replace(hypothesis_met=not TAG_45.hypothesis_met)),
+], ids=["other-modulus", "p^2-as-p^alpha", "pq-swapped", "hypothesis-flipped"])
+def test_tag_modulus_consistency_checked(n, tag):
+    """A tag is taken only when it is n's classification, field for field."""
+    for closed in (closed_domination, closed_total_domination):
+        with pytest.raises(ValueError):
+            closed(n, tag)
+
+
+def test_library_callers_refused_before_any_work(monkeypatch):
+    # n = 2 * 100003 and 2 * 50021 are 2p graphs of 100 003 and 50 021
+    # vertices: over the shared limit, so neither formula may expand a
+    # binomial row, whoever calls it.
+    def no_rows(m):
+        raise AssertionError("a closed form ran over the vertex limit")
+
+    monkeypatch.setattr(cf, "binomial_expand", no_rows)
+    for closed, n, nv in ((closed_domination, 200006, 100003),
+                          (closed_total_domination, 100042, 50021)):
+        with pytest.raises(CapacityError) as err:
+            closed(n, classify_family(factorize(n)))
+        assert str(err.value) == (f"n={n} has {nv} vertices, over the "
+                                  f"closed-form limit of 50000")

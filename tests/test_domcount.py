@@ -253,8 +253,7 @@ def test_engine_class_capacity(monkeypatch):
     # 27720 = 2^3 3^2 5 7 11 has 22 divisors with 4 prime factors, and
     # 720720 = 2^4 3^2 5 7 11 13 has 46 with 6; every subset of such a rank
     # level is an antichain, so both engine readers refuse D before the
-    # up-set walk starts.  720720 also has 582 479 vertices, which refuses
-    # D_t.
+    # up-set walk starts.
     limit = dc.ENGINE_UPSET_LIMIT
 
     def no_walk(*args):
@@ -271,13 +270,17 @@ def test_engine_class_capacity(monkeypatch):
                     f"n={n} has {widest} divisor classes of one rank, so at "
                     f"least 2^{widest} up-sets, over the class-engine up-set "
                     f"limit of {limit}")
-        cg = build_class_graph(720720)
-        for engine in (class_engine_poly, class_engine_count):
-            with pytest.raises(CapacityError) as err:
-                engine(cg, TOT)
-            assert str(err.value) == (
-                f"n=720720 has 582479 vertices, over the class-engine limit "
-                f"of {VERTEX_LIMIT}")
+        # 720720 has 582 479 vertices, which refuses D_t.  100800's widest
+        # level has 18 divisors, within the rank bound, but its 77 759
+        # vertices refuse D before the walk.
+        for n, kind, nv in ((720720, TOT, 582479), (100800, ORD, 77759)):
+            cg = build_class_graph(n)
+            for engine in (class_engine_poly, class_engine_count):
+                with pytest.raises(CapacityError) as err:
+                    engine(cg, kind)
+                assert str(err.value) == (
+                    f"n={n} has {nv} vertices, over the class-engine limit "
+                    f"of {VERTEX_LIMIT}")
     # Below the bound the walk counts: 2520's widest level has 11 divisors
     # (2^11 = 2 048 up-sets at least) and it has 59 540 up-sets.
     monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", 10_000)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import zdpoly.domcount as dc
-from zdpoly import verify
+from zdpoly import closedform, verify
 from zdpoly.domcount import DominationKind, class_engine_count
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial
@@ -107,10 +107,10 @@ def test_compute_dispatches_each_method(monkeypatch):
 def test_closed_form_refused_over_vertex_limit(monkeypatch):
     # n = 2 * 100003 is a 2p graph of 100 003 vertices: over the shared
     # limit, so the formula must not run.
-    def no_formula(n, tag):
+    def no_rows(m):
         raise AssertionError("ran a closed form over the vertex limit")
 
-    monkeypatch.setattr(verify, "closed_domination", no_formula)
+    monkeypatch.setattr(closedform, "binomial_expand", no_rows)
     with pytest.raises(CapacityError) as err:
         compute(METHOD_CLOSED, build_class_graph(200006), ORD)
     assert str(err.value) == ("n=200006 has 100003 vertices, over the "
