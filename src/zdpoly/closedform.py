@@ -10,9 +10,11 @@ Throughout, coefficient sums like
 
     sum over a+b+c = i, a >= 1, b >= 1 of C(f1,a) C(f2,b) C(f3,c)
 
-are evaluated as the polynomial product ((1+x)^f1 - 1)((1+x)^f2 - 1)(1+x)^f3,
-which has exactly those coefficients; shifts x^t implement forced selections
-of t vertices.
+are the coefficients of ((1+x)^f1 - 1)((1+x)^f2 - 1)(1+x)^f3, and a shift
+x^t implements a forced selection of t vertices.  Each such case of a
+formula is written as a term (shift, free, gens) = (t, f3, (f1, f2)), the
+key of the class engine's up-set terms, and ``domcount.sum_terms`` sums a
+formula's terms as it sums the engine's, with no polynomial product.
 
 The public readers refuse before any formula runs: a family with no
 formula, a tag that is not n's classification, and a graph over
@@ -21,53 +23,16 @@ zdgraph.VERTEX_LIMIT, whatever the caller.
 
 from __future__ import annotations
 
+from collections import Counter
+
+from .domcount import sum_terms
 from .errors import UnsupportedFamilyError
 from .numtheory import Family, FamilyTag, classify_family, factorize
-from .polyring import ONE, ZERO, Polynomial, binomial_expand
+from .polyring import Polynomial
 from .zdgraph import build_class_graph, check_vertex_limit
 
 
-def complete_graph_polys(m: int) -> tuple[Polynomial, Polynomial]:
-    """Domination and total-domination polynomials of the complete graph K_m:
-    (1+x)^m - 1 and (1+x)^m - m*x - 1."""
-    if m < 1:
-        raise ValueError(f"complete graph needs m >= 1, got {m}")
-    d = binomial_expand(m) - ONE
-    dt = binomial_expand(m) - Polynomial((1, m))
-    return d, dt
-
-
-def star_polys(m: int) -> tuple[Polynomial, Polynomial]:
-    """Domination and total-domination polynomials of the star K_{1,m}:
-    x*(1+x)^m + x^m and x*((1+x)^m - 1)."""
-    if m < 1:
-        raise ValueError(f"star needs m >= 1 leaves, got {m}")
-    d = binomial_expand(m).shift(1) + Polynomial((0,) * m + (1,))
-    dt = (binomial_expand(m) - ONE).shift(1)
-    return d, dt
-
-
-def join_domination(d1: Polynomial, d2: Polynomial,
-                    n1: int, n2: int) -> Polynomial:
-    """Domination polynomial of the join of two graphs with n1 and n2 vertices
-    and domination polynomials d1, d2:
-
-        ((1+x)^n1 - 1)((1+x)^n2 - 1) + d1 + d2
-    """
-    cross = (binomial_expand(n1) - ONE) * (binomial_expand(n2) - ONE)
-    return cross + d1 + d2
-
-
-def _monomial(k: int) -> Polynomial:
-    return Polynomial((0,) * k + (1,))
-
-
-def _atleast_one(m: int) -> Polynomial:
-    """(1+x)^m - 1: choose at least one of m vertices."""
-    return binomial_expand(m) - ONE
-
-
-def _psquareq_cases(p: int, q: int) -> list[Polynomial]:
+def _psquareq_cases(p: int, q: int) -> list[tuple]:
     """The dominating-set cases for n = p^2 q, split by which of the two
     cut classes (the gcd-pq class of p-1 vertices and the gcd-p^2 class of
     q-1 vertices) are occupied."""
@@ -75,31 +40,27 @@ def _psquareq_cases(p: int, q: int) -> list[Polynomial]:
     fp2 = p * (p - 1)
     fpq = (p - 1) * (q - 1)
     return [
-        _atleast_one(fp) * _atleast_one(fq) * binomial_expand(fp2 + fpq),
-        (_atleast_one(fp) * binomial_expand(fpq)).shift(fp2),
-        (_atleast_one(fq) * binomial_expand(fp2)).shift(fpq),
-        _monomial(fp2 + fpq),
+        (0, fp2 + fpq, (fp, fq)),
+        (fp2, fpq, (fp,)),
+        (fpq, fp2, (fq,)),
+        (fp2 + fpq, 0, ()),
     ]
 
 
-def _pqr_cases(p: int, q: int, r: int) -> list[Polynomial]:
+def _pqr_cases(p: int, q: int, r: int) -> list[tuple]:
     """The eight dominating-set cases for n = pqr, split by which of the
     three pairwise-adjacent two-prime classes are occupied."""
     fp, fq, fr = p - 1, q - 1, r - 1
     fpq, fpr, fqr = fp * fq, fp * fr, fq * fr
     return [
-        (_atleast_one(fp) * _atleast_one(fq) * _atleast_one(fr)
-         * binomial_expand(fpq + fpr + fqr)),
-        (_atleast_one(fp) * _atleast_one(fq)
-         * binomial_expand(fpr + fqr)).shift(fpq),
-        (_atleast_one(fp) * _atleast_one(fr)
-         * binomial_expand(fpq + fqr)).shift(fpr),
-        (_atleast_one(fq) * _atleast_one(fr)
-         * binomial_expand(fpq + fpr)).shift(fqr),
-        (_atleast_one(fp) * binomial_expand(fqr)).shift(fpq + fpr),
-        (_atleast_one(fq) * binomial_expand(fpr)).shift(fpq + fqr),
-        (_atleast_one(fr) * binomial_expand(fpq)).shift(fpr + fqr),
-        _monomial(fpq + fpr + fqr),
+        (0, fpq + fpr + fqr, (fp, fq, fr)),
+        (fpq, fpr + fqr, (fp, fq)),
+        (fpr, fpq + fqr, (fp, fr)),
+        (fqr, fpq + fpr, (fq, fr)),
+        (fpq + fpr, fqr, (fp,)),
+        (fpq + fqr, fpr, (fq,)),
+        (fpr + fqr, fpq, (fr,)),
+        (fpq + fpr + fqr, 0, ()),
     ]
 
 
@@ -108,7 +69,7 @@ def _phi_power(p: int, j: int) -> int:
     return (p - 1) * p ** (j - 1)
 
 
-def _palpha_D(p: int, alpha: int) -> Polynomial:
+def _palpha_D(p: int, alpha: int) -> list[tuple]:
     """Dominating sets of the prime-power graph, n = p^alpha, alpha >= 3;
     n = p^2 is the P_SQUARE family, the complete graph K_(p-1).
 
@@ -128,70 +89,80 @@ def _palpha_D(p: int, alpha: int) -> Polynomial:
     nv = p ** (alpha - 1) - 1
     half = alpha // 2
     top = half if alpha % 2 == 1 else half - 1
-    total = Polynomial()
+    terms = []
     for r in range(1, top + 1):
         offset = sum(_phi_power(p, alpha - k) for k in range(1, r))
         spent = sum(_phi_power(p, k) + _phi_power(p, alpha - k)
                     for k in range(1, r))
         free = nv - _phi_power(p, r) - spent
-        term = _atleast_one(_phi_power(p, r)) * binomial_expand(free)
-        total = total + term.shift(offset)
+        terms.append((offset, free, (_phi_power(p, r),)))
     if alpha % 2 == 1:
         special = sum(_phi_power(p, alpha - k) for k in range(1, half + 1))
-        total = total + _monomial(special)
+        terms.append((special, 0, ()))
     else:
         threshold = sum(_phi_power(p, alpha - k) for k in range(1, half))
-        total = total + _atleast_one(_phi_power(p, half)).shift(threshold)
-    return total
+        terms.append((threshold, 0, (_phi_power(p, half),)))
+    return terms
 
 
-def _palpha_Dt(p: int, alpha: int) -> Polynomial:
+def _palpha_Dt(p: int, alpha: int) -> list[tuple]:
     """Total-dominating formula for n = p^alpha: coefficient of x^i is the
     sum over a+b = i, a,b >= 1 of C(phi(p), a) C(|V| - phi(p), b)."""
     nv = p ** (alpha - 1) - 1
-    return _atleast_one(p - 1) * _atleast_one(nv - (p - 1))
+    return [(0, 0, (p - 1, nv - (p - 1)))]
 
 
-# The D and the D_t formula of each family, each a function of the tag.
+# The D and the D_t formula of each family, each a function of the tag that
+# gives its (terms, drop).  n = 2p is the star K_(1,p-1), with
+# D = x(1+x)^(p-1) + x^(p-1) and D_t = x((1+x)^(p-1) - 1); n = p^2 is the
+# complete graph K_(p-1), with D = (1+x)^(p-1) - 1 and
+# D_t = (1+x)^(p-1) - (p-1)x - 1; n = pq is the join of the edgeless graphs
+# on q-1 and p-1 vertices, D = ((1+x)^(q-1) - 1)((1+x)^(p-1) - 1) + x^(q-1)
+# + x^(p-1), and D_t is its first term.
 _FORMULAS = {
-    Family.TWO_P: (lambda t: star_polys(t.p - 1)[0],
-                   lambda t: star_polys(t.p - 1)[1]),
-    Family.P_SQUARE: (lambda t: complete_graph_polys(t.p - 1)[0],
-                      lambda t: complete_graph_polys(t.p - 1)[1]),
-    Family.PQ: (
-        lambda t: join_domination(_monomial(t.q - 1), _monomial(t.p - 1),
-                                  t.q - 1, t.p - 1),
-        lambda t: _atleast_one(t.q - 1) * _atleast_one(t.p - 1)),
-    Family.P_SQUARE_Q: (lambda t: sum(_psquareq_cases(t.p, t.q), ZERO),
-                        lambda t: _psquareq_cases(t.p, t.q)[0]),
-    Family.PQR: (lambda t: sum(_pqr_cases(t.p, t.q, t.r), ZERO),
-                 lambda t: _pqr_cases(t.p, t.q, t.r)[0]),
-    Family.P_ALPHA: (lambda t: _palpha_D(t.p, t.alpha),
-                     lambda t: _palpha_Dt(t.p, t.alpha)),
+    Family.TWO_P: (lambda t: ([(1, t.p - 1, ()), (t.p - 1, 0, ())], 0),
+                   lambda t: ([(1, 0, (t.p - 1,))], 0)),
+    Family.P_SQUARE: (lambda t: ([(0, 0, (t.p - 1,))], 0),
+                      lambda t: ([(0, 0, (t.p - 1,))], t.p - 1)),
+    Family.PQ: (lambda t: ([(0, 0, (t.q - 1, t.p - 1)), (t.q - 1, 0, ()),
+                            (t.p - 1, 0, ())], 0),
+                lambda t: ([(0, 0, (t.q - 1, t.p - 1))], 0)),
+    Family.P_SQUARE_Q: (lambda t: (_psquareq_cases(t.p, t.q), 0),
+                        lambda t: (_psquareq_cases(t.p, t.q)[:1], 0)),
+    Family.PQR: (lambda t: (_pqr_cases(t.p, t.q, t.r), 0),
+                 lambda t: (_pqr_cases(t.p, t.q, t.r)[:1], 0)),
+    Family.P_ALPHA: (lambda t: (_palpha_D(t.p, t.alpha), 0),
+                     lambda t: (_palpha_Dt(t.p, t.alpha), 0)),
 }
 
 
-def _formulas(n: int, tag: FamilyTag, what: str):
-    """The (D, D_t) formulas of the tag's family, checked before any of
-    them runs: UnsupportedFamilyError when the family has no formula,
-    ValueError when the tag is not ``classify_family`` of n, and
-    CapacityError when the graph is over zdgraph.VERTEX_LIMIT."""
+def _closed_form(n: int, tag: FamilyTag, total: bool) -> Polynomial:
+    """The D (or, when ``total``, the D_t) formula of the tag's family at
+    n, checked before any of it runs: UnsupportedFamilyError when the
+    family has no formula, ValueError when the tag is not
+    ``classify_family`` of n, and CapacityError when the graph is over
+    zdgraph.VERTEX_LIMIT.  ``sum_terms`` then refuses it with
+    CapacityError, before any row is built, when the sum's counted work is
+    over domcount.ENGINE_WORK_LIMIT."""
+    what = "total-domination" if total else "domination"
     if tag.family not in _FORMULAS:
         raise UnsupportedFamilyError(
             f"no closed-form {what} formula applies to n={n}")
     if tag != classify_family(factorize(n)):
         raise ValueError(f"family tag {tag} is not the one of n={n}")
-    check_vertex_limit(build_class_graph(n), "closed-form")
-    return _FORMULAS[tag.family]
+    cg = build_class_graph(n)
+    check_vertex_limit(cg, "closed-form")
+    terms, drop = _FORMULAS[tag.family][total](tag)
+    return sum_terms(cg, Counter(terms), drop, "closed-form")
 
 
 def closed_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Domination polynomial of the zero-divisor graph of Z_n from the
-    family's closed form.  Raises as ``_formulas`` does."""
-    return _formulas(n, tag, "domination")[0](tag)
+    family's closed form.  Raises as ``_closed_form`` does."""
+    return _closed_form(n, tag, False)
 
 
 def closed_total_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Total-domination polynomial of the zero-divisor graph of Z_n from the
-    family's closed form.  Raises as ``_formulas`` does."""
-    return _formulas(n, tag, "total-domination")[1](tag)
+    family's closed form.  Raises as ``_closed_form`` does."""
+    return _closed_form(n, tag, True)

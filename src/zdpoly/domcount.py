@@ -51,16 +51,18 @@ since class n/p has p - 1 vertices.  A clique class covered only by itself
 also needs a second selected vertex; that fails only when n = p^alpha and
 the set is one vertex of the lone class n/p, so D_t loses (p-1)*x there.
 
-The terms are summed with no polynomial product.  prod((1+x)^m - 1) over
-the generator sizes multiplies out to signed powers (1+x)^E, with E = free +
-the sizes of a subset of the generators: the (1+x)-power form of
-D(G, x) = sum over W of (-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon,
-Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Merged over the
-terms, they make a row table {E: {shift: signed count}}, which two sums
-read.  The flat sum expands each row (1+x)^E once, a multiply and a floor
-division per coefficient, and adds it, times its count, at each shift: a
-multiply and an add per coefficient, so it counts 2 * (E+1) per distinct E
-and per (E, shift) pair.  Horner in (1+x) goes down from the largest E, adds
+``sum_terms`` sums the terms with no polynomial product: the engine's
+up-set terms and, in the same format, the case terms of the closed forms
+in ``closedform``.  prod((1+x)^m - 1) over the generator sizes multiplies
+out to signed powers (1+x)^E, with E = free + the sizes of a subset of the
+generators: the (1+x)-power form of D(G, x) = sum over W of
+(-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon, Tittmann and Trinks,
+Electron. J. Combin. 19(3), 2012).  Merged over the terms, they make a row
+table {E: {shift: signed count}}, which two sums read.  The flat sum
+expands each row (1+x)^E once, a multiply and a floor division per
+coefficient, and adds it, times its count, at each shift: a multiply and an
+add per coefficient, so it counts 2 * (E+1) per distinct E and per
+(E, shift) pair.  Horner in (1+x) goes down from the largest E, adds
 Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for each unit step
 of E with one add per live coefficient; it counts those adds.  Both counts
 come from the table before any row is built, and the smaller one, with a
@@ -105,11 +107,14 @@ DEFAULT_BRUTE_LIMIT = 26
 # 1.5-2 s.
 ENGINE_UPSET_LIMIT = 1_500_000
 
-# Most work class_engine_poly takes on to sum the binomial rows: the count
-# of the cheaper sum (see _assemble), checked before any row is built.  A
-# unit costs about 0.1-0.4 us on the same machine, the more the wider the
-# coefficients, so this is about 10 s at |V| = 7 235 (n = 9828 counts
-# 26.2 M).
+# Most work sum_terms takes on to sum the binomial rows, for the class
+# engine and the closed forms alike: the count of the cheaper sum (see
+# _assemble), checked before any row is built.  A unit costs about
+# 0.1-0.4 us on the same machine, the more the wider the coefficients, so
+# this is about 10 s at |V| = 7 235 (n = 9828 counts 26.2 M).  No closed
+# form within zdgraph.VERTEX_LIMIT comes near it: one has at most 27
+# (E, shift) pairs (n = pqr), each counting at most 4 * (|V| + 1) in the
+# flat sum, so at most 5.4 M.
 ENGINE_WORK_LIMIT = 30_000_000
 
 # Most vertices brute force takes on whatever the limit.  Per kind, D and
@@ -294,16 +299,24 @@ def _meet_masks(conditions, bits):
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
     the sum of the up-set terms of ``_engine_terms``.  Raises CapacityError
-    as ``_engine_terms`` does, or when the counted work of the sum is over
-    ENGINE_WORK_LIMIT, before any row is built."""
+    as ``_engine_terms`` and ``sum_terms`` do."""
     terms, drop = _engine_terms(cg, kind)
+    return sum_terms(cg, terms, drop, "class-engine")
+
+
+def sum_terms(cg: ClassGraph, terms: dict, drop: int,
+              what: str) -> Polynomial:
+    """The sum of the terms {(shift, free, gens): count}, less drop * x, as
+    a polynomial of degree at most ``cg.vertex_count``: the table
+    ``_assemble`` makes, summed by the sum it picks.  Raises CapacityError,
+    naming ``what`` refused it, when the sum's counted work is over
+    ENGINE_WORK_LIMIT, before any row is built."""
     nv = cg.vertex_count
     rows, work, sum_rows = _assemble(terms, nv)
     if work > ENGINE_WORK_LIMIT:
         raise CapacityError(
             f"summing the binomial rows for n={cg.n} counts {work} "
-            f"operations, over the class-engine work limit of "
-            f"{ENGINE_WORK_LIMIT}")
+            f"operations, over the {what} work limit of {ENGINE_WORK_LIMIT}")
     return sum_rows(rows, nv) - Polynomial((0, drop))
 
 

@@ -12,12 +12,11 @@ from pathlib import Path
 
 import zdpoly
 from zdpoly.cli import main as cli_main
-from zdpoly.closedform import (closed_domination, closed_total_domination,
-                               join_domination)
+from zdpoly.closedform import closed_domination, closed_total_domination
 from zdpoly.domcount import (DominationKind, brute_force_poly,
                              class_engine_poly, gamma_from_poly)
 from zdpoly.numtheory import Family, classify_family, factorize
-from zdpoly.polyring import Polynomial, evaluate_at
+from zdpoly.polyring import ONE, Polynomial, binomial_expand, evaluate_at
 from zdpoly.verify import (METHOD_BRUTE, METHOD_CLASSES, METHOD_CLOSED,
                            STATUS_ALL_AGREE, STATUS_MISMATCH, STATUS_PARTIAL,
                            run_verification)
@@ -237,6 +236,16 @@ def _join(g1, g2):
             if g2.closed[i] >> j & 1:
                 edges.append((n1 + i, n1 + j))
     return _graph_from_edges(n1 + n2, edges)
+
+
+def join_domination(d1, d2, n1, n2):
+    """Domination polynomial of the join of two graphs with n1 and n2
+    vertices and domination polynomials d1, d2:
+
+        ((1+x)^n1 - 1)((1+x)^n2 - 1) + d1 + d2
+    """
+    cross = (binomial_expand(n1) - ONE) * (binomial_expand(n2) - ONE)
+    return cross + d1 + d2
 
 
 def test_criterion_9_join_identity():

@@ -6,15 +6,17 @@ from collections import Counter
 from functools import cache
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from totient_reference import totient
 
 import zdpoly.closedform as cf
-from zdpoly.closedform import (closed_domination, closed_total_domination,
-                               complete_graph_polys, join_domination,
-                               star_polys)
-from zdpoly.domcount import DominationKind, brute_force_poly, class_engine_poly
+import zdpoly.domcount as dc
+from zdpoly import polyring
+from zdpoly.closedform import closed_domination, closed_total_domination
+from zdpoly.domcount import (DominationKind, brute_force_poly,
+                             class_engine_poly, sum_terms)
 from zdpoly.errors import CapacityError, UnsupportedFamilyError
 from zdpoly.numtheory import Family, FamilyTag, classify_family, factorize
 from zdpoly.polyring import ONE, ZERO, Polynomial, binomial_expand
@@ -50,28 +52,39 @@ def monomial(k):
     return Polynomial([0] * k + [1])
 
 
+def family_formula(family, kind, nv, **params):
+    """The sum of the D (or D_t) terms of ``family``'s formula at ``params``,
+    which need not be primes, for a graph of ``nv`` vertices: the formula
+    read on the graph it describes."""
+    formula = cf._FORMULAS[family][kind is TOT]
+    terms, drop = formula(FamilyTag(family, **params))
+    graph = SimpleNamespace(n=0, vertex_count=nv)
+    return sum_terms(graph, Counter(terms), drop, "closed-form")
+
+
 def test_complete_graph_polys_vs_brute():
+    # n = p^2 is the complete graph K_(p-1)
     for m in range(1, 9):
-        d, dt = complete_graph_polys(m)
         vg = complete_graph(m)
-        assert d == brute_force_poly(vg, ORD)
-        assert dt == brute_force_poly(vg, TOT)
-    with pytest.raises(ValueError):
-        complete_graph_polys(0)
+        for kind in (ORD, TOT):
+            assert (family_formula(Family.P_SQUARE, kind, m, p=m + 1)
+                    == brute_force_poly(vg, kind)), (m, kind)
 
 
 def test_star_polys_vs_brute():
+    # n = 2p is the star K_(1,p-1)
     for m in range(1, 9):
-        d, dt = star_polys(m)
         vg = star_graph(m)
-        assert d == brute_force_poly(vg, ORD)
-        assert dt == brute_force_poly(vg, TOT)
+        for kind in (ORD, TOT):
+            assert (family_formula(Family.TWO_P, kind, m + 1, p=m + 1)
+                    == brute_force_poly(vg, kind)), (m, kind)
 
 
 def test_join_reproduces_four_cycle():
-    # two-vertex empty graphs joined make C_4
-    dbar2 = monomial(2)
-    assert join_domination(dbar2, dbar2, 2, 2) == Polynomial([0, 0, 6, 4, 1])
+    # n = pq is the join of the edgeless graphs on q-1 and p-1 vertices;
+    # two-vertex ones joined make C_4
+    assert (family_formula(Family.PQ, ORD, 4, p=3, q=3)
+            == Polynomial([0, 0, 6, 4, 1]))
 
 
 # --- transcription oracles: the same sums written out naively --------------
@@ -412,15 +425,42 @@ def test_tag_modulus_consistency_checked(n, tag):
 
 def test_library_callers_refused_before_any_work(monkeypatch):
     # n = 2 * 100003 and 2 * 50021 are 2p graphs of 100 003 and 50 021
-    # vertices: over the shared limit, so neither formula may expand a
-    # binomial row, whoever calls it.
-    def no_rows(m):
+    # vertices: over the shared limit, so neither formula may sum its
+    # terms, whoever calls it.
+    def no_sum(*args):
         raise AssertionError("a closed form ran over the vertex limit")
 
-    monkeypatch.setattr(cf, "binomial_expand", no_rows)
+    monkeypatch.setattr(cf, "sum_terms", no_sum)
     for closed, n, nv in ((closed_domination, 200006, 100003),
                           (closed_total_domination, 100042, 50021)):
         with pytest.raises(CapacityError) as err:
             closed(n, classify_family(factorize(n)))
         assert str(err.value) == (f"n={n} has {nv} vertices, over the "
                                   f"closed-form limit of 50000")
+
+
+def test_closed_form_work_limit_refuses_before_rows(monkeypatch):
+    """Past ENGINE_WORK_LIMIT, a closed form is refused, named as such,
+    before either sum builds a row."""
+    def no_rows(*args):
+        raise AssertionError("a binomial row was built")
+
+    monkeypatch.setattr(dc, "ENGINE_WORK_LIMIT", 0)
+    monkeypatch.setattr(dc, "binomial_expand", no_rows)
+    monkeypatch.setattr(dc, "_horner_sum", no_rows)
+    with pytest.raises(CapacityError) as err:
+        closed_domination(75, classify_family(factorize(75)))
+    assert str(err.value) == (
+        "summing the binomial rows for n=75 counts 780 operations, over the "
+        "closed-form work limit of 0")
+
+
+def test_closed_forms_make_no_polynomial_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("a closed form multiplied polynomials")
+
+    monkeypatch.setattr(polyring.Polynomial, "__mul__", no_product)
+    for n in (14, 25, 15, 75, 105, 243):
+        tag = classify_family(factorize(n))
+        closed_domination(n, tag)
+        closed_total_domination(n, tag)

@@ -106,11 +106,11 @@ def test_compute_dispatches_each_method(monkeypatch):
 
 def test_closed_form_refused_over_vertex_limit(monkeypatch):
     # n = 2 * 100003 is a 2p graph of 100 003 vertices: over the shared
-    # limit, so the formula must not run.
-    def no_rows(m):
+    # limit, so the formula must not sum its terms.
+    def no_sum(*args):
         raise AssertionError("ran a closed form over the vertex limit")
 
-    monkeypatch.setattr(closedform, "binomial_expand", no_rows)
+    monkeypatch.setattr(closedform, "sum_terms", no_sum)
     with pytest.raises(CapacityError) as err:
         compute(METHOD_CLOSED, build_class_graph(200006), ORD)
     assert str(err.value) == ("n=200006 has 100003 vertices, over the "
