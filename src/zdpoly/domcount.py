@@ -69,7 +69,13 @@ come from the table before any row is built, and the smaller one, with a
 fixed cost per Horner step added, picks the sum.  Horner wins when many
 shifts recur over many E (n = 2520: 1.9 M against 20 M), flat when there
 are few rows (prime powers, n = 2p, and D_t, whose 2^omega(n) rows all sit
-at shift 0).
+at shift 0).  Horner holds its coefficients in one of two ways, picked
+from the table: a list with one add per live coefficient, or, while the
+coefficients are narrow, one integer, the sum at x = 2^w for a slot width
+w bound by the counts (Kronecker substitution), where a unit step is two
+big-int operations, a shift and an add, and each row adds its Q_E(2^w)
+once.  The packed steps cost more the wider the slots, so the list takes
+over past _PACKED_SLOT_BITS (n = 336 sums packed, 2520 on the list).
 
 ``class_engine_count`` reads the domination number and the count D(1) from
 the same up-set keys (shift, free size, generator sizes) without building a
@@ -132,6 +138,17 @@ BRUTE_CEILING = 40
 # for 44 (n, kind) with n < 1200, all with |V| <= 109 (2-core Xeon,
 # Python 3.11).
 _HORNER_STEP_COST = 10
+
+# Widest slot, in bits, at which _horner_sum runs on one packed integer
+# instead of a list.  A packed unit step moves the whole integer twice, so
+# it costs more the wider the slots, while a list add costs mostly its
+# fixed overhead; a row costs another pass, and more with many shifts.
+# For D at every n <= 1430 that Horner sums (2-core Xeon, Python 3.11),
+# packed was the faster at all 110 tables up to 480 bits (n = 336 at 248
+# bits: 0.8 against 1.7 ms).  Past it, tables of many rows lose (n = 630
+# at 488 bits took 1.17 times the list's time, 780 at 592 bits 1.31), and
+# past 640 bits 38 of 53 tables lose, 1260 at 976 bits by 2.9 times.
+_PACKED_SLOT_BITS = 480
 
 # How brute force splits the vertices (see brute_force_poly): the subsets
 # of the low and the block vertices are the bit positions of bitsets, and
@@ -510,9 +527,51 @@ def _flat_sum(rows, nv):
 
 def _horner_sum(rows, nv):
     """Horner in (1+x): going down from the largest E, add Q_E(x), the sum
-    of count * x^shift, then multiply by (1+x) for the step down to E - 1
-    with one add live[d] + live[d-1] per coefficient of the live window,
-    the coefficients from the lowest shift added so far up."""
+    of count * x^shift, then multiply by (1+x) for the step down to E - 1.
+    Every coefficient of the running sum, and of the result, is at most
+    the sum of |count| * 2^E in size, so slots of that many bits and a
+    sign bit, in whole bytes, hold them all.  Up to _PACKED_SLOT_BITS a
+    slot, the sum runs on one integer, ``_packed_horner_sum``; past it, on
+    the list of live coefficients, ``_window_horner_sum``."""
+    bound = sum(sum(map(abs, shifts.values())) << e
+                for e, shifts in rows.items())
+    slot = bound.bit_length() // 8 + 1
+    if 8 * slot <= _PACKED_SLOT_BITS:
+        return _packed_horner_sum(rows, nv, slot)
+    return _window_horner_sum(rows, nv)
+
+
+def _packed_horner_sum(rows, nv, slot):
+    """Horner's sum at x = 2^w, w = 8 * slot (Kronecker substitution): the
+    coefficient of x^d is the signed slot of bits [w*d, w*d + w) of one
+    integer.  A unit step is ``acc += acc << w``, two big-int operations,
+    and a row adds Q_E(2^w) once, built by Horner over its shifts.  Adding
+    2^(w-1) to each slot brings every coefficient into [0, 2^w), so the
+    slots read back from the bytes with no borrow between them."""
+    w = 8 * slot
+    acc = 0
+    for e in range(max(rows, default=0), -1, -1):
+        shifts = rows.get(e)
+        if shifts:
+            q, last = 0, max(shifts)
+            for shift in sorted(shifts, reverse=True):
+                q = (q << w * (last - shift)) + shifts[shift]
+                last = shift
+            acc += q << w * last
+        if e:
+            acc += acc << w
+    size = slot * (nv + 1)
+    bias = int.from_bytes((bytes(slot - 1) + b"\x80") * (nv + 1), "little")
+    data = (acc + bias).to_bytes(size, "little")
+    half = 1 << w - 1
+    return Polynomial([int.from_bytes(data[i:i + slot], "little") - half
+                       for i in range(0, size, slot)])
+
+
+def _window_horner_sum(rows, nv):
+    """Horner's sum on a list: the step to E - 1 is one add
+    live[d] + live[d-1] per coefficient of the live window, the
+    coefficients from the lowest shift added so far up."""
     lo, live = nv, []  # live[i] is the coefficient of x^(lo + i)
     for e in range(max(rows, default=0), -1, -1):
         shifts = rows.get(e)

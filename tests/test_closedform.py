@@ -448,6 +448,8 @@ def test_closed_form_work_limit_refuses_before_rows(monkeypatch):
     monkeypatch.setattr(dc, "ENGINE_WORK_LIMIT", 0)
     monkeypatch.setattr(dc, "binomial_expand", no_rows)
     monkeypatch.setattr(dc, "_horner_sum", no_rows)
+    monkeypatch.setattr(dc, "_packed_horner_sum", no_rows)
+    monkeypatch.setattr(dc, "_window_horner_sum", no_rows)
     with pytest.raises(CapacityError) as err:
         closed_domination(75, classify_family(factorize(75)))
     assert str(err.value) == (

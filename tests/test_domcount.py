@@ -304,6 +304,8 @@ def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
         mp.setattr(dc, "ENGINE_WORK_LIMIT", work - 1)
         mp.setattr(dc, "binomial_expand", no_rows)
         mp.setattr(dc, "_horner_sum", no_rows)
+        mp.setattr(dc, "_packed_horner_sum", no_rows)
+        mp.setattr(dc, "_window_horner_sum", no_rows)
         with pytest.raises(CapacityError) as err:
             class_engine_poly(cg, kind)
     assert str(err.value) == (
@@ -330,6 +332,66 @@ def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
     _, got_work, got_sum = dc._assemble(terms, cg.vertex_count)
     assert (got_work, got_sum.__name__) == (work, sum_rows)
     assert work <= dc.ENGINE_WORK_LIMIT
+
+
+@pytest.mark.parametrize("n, used, unused", [
+    (336, "_packed_horner_sum", "_window_horner_sum"),  # 248-bit slots
+    (2520, "_window_horner_sum", "_packed_horner_sum"),  # 1952-bit slots
+])
+def test_horner_sum_picks_its_representation(monkeypatch, n, used, unused):
+    """Horner's sum for D runs on one packed integer at n = 336 and on the
+    list window at 2520, and never enters the other: the crossover stays
+    between them, below the sizes the reach checks run at."""
+    calls = Counter()
+
+    def spy(*args, sum_rows=getattr(dc, used)):
+        calls[used] += 1
+        return sum_rows(*args)
+
+    def no_sum(*args):
+        raise AssertionError(f"{unused} ran")
+
+    monkeypatch.setattr(dc, used, spy)
+    monkeypatch.setattr(dc, unused, no_sum)
+    cg = build_class_graph(n)
+    poly = class_engine_poly(cg, ORD)
+    assert calls == {used: 1}
+    assert (gamma_from_poly(poly), sum(poly.coeffs)) == class_engine_count(
+        cg, ORD)
+
+
+def _no_window(*args):
+    raise AssertionError("the list window ran")
+
+
+def test_packed_horner_slots_hold_wide_signed_coefficients(monkeypatch):
+    """The packed sum sizes its slots from the counts, not from |V|: over
+    6 vertices this table sums to coefficients of up to 20 bits, one of
+    them negative, which slots of |V| + 2 bits would garble."""
+    rows = {6: {0: 3000}, 4: {1: -5000, 2: 7}, 1: {3: 11},
+            0: {5: -10 ** 6, 6: 1}}
+    monkeypatch.setattr(dc, "_window_horner_sum", _no_window)
+    got = dc._horner_sum(rows, 6)
+    assert got == dc._flat_sum(rows, 6)
+    assert got.coeffs == (3000, 13000, 25007, 30039, 25053, -986972, 3008)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda nv: st.tuples(
+    st.just(nv),
+    st.dictionaries(st.tuples(st.integers(0, nv), st.integers(0, nv)),
+                    st.integers(-2 ** 70, 2 ** 70), max_size=20))))
+def test_packed_horner_matches_flat_on_signed_tables(case):
+    """Random signed row tables of degree at most |V| <= 12, with counts
+    of up to 70 bits: the packed sum equals the flat one."""
+    nv, pairs = case
+    rows = {}
+    for (e, shift), c in pairs.items():
+        if e + shift <= nv and c:
+            rows.setdefault(e, {})[shift] = c
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "_window_horner_sum", _no_window)
+        assert dc._horner_sum(rows, nv) == dc._flat_sum(rows, nv)
 
 
 # sha256 of the comma-joined coefficients of class_engine_poly, recorded
