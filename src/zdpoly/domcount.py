@@ -64,18 +64,20 @@ coefficient, and adds it, times its count, at each shift: a multiply and an
 add per coefficient, so it counts 2 * (E+1) per distinct E and per
 (E, shift) pair.  Horner in (1+x) goes down from the largest E, adds
 Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for each unit step
-of E with one add per live coefficient; it counts those adds.  Both counts
-come from the table before any row is built, and the smaller one, with a
-fixed cost per Horner step added, picks the sum.  Horner wins when many
-shifts recur over many E (n = 2520: 1.9 M against 20 M), flat when there
-are few rows (prime powers, n = 2p, and D_t, whose 2^omega(n) rows all sit
-at shift 0).  Horner holds its coefficients in one of two ways, picked
-from the table: a list with one add per live coefficient, or, while the
-coefficients are narrow, one integer, the sum at x = 2^w for a slot width
-w bound by the counts (Kronecker substitution), where a unit step is two
-big-int operations, a shift and an add, and each row adds its Q_E(2^w)
-once.  The packed steps cost more the wider the slots, so the list takes
-over past _PACKED_SLOT_BITS (n = 336 sums packed, 2520 on the list).
+of E with one add per live coefficient, from x^0 up; it counts those adds.
+Both counts come from the table before any row is built, and the smaller
+one picks the sum.  Horner wins when many shifts recur over many E
+(n = 2520: 1.9 M against 20 M), flat when there are few rows (prime
+powers, n = 2p, and D_t, whose 2^omega(n) rows all sit at shift 0) and E
+is large: Horner takes every n below 34, whose unit steps are few, and
+flat every D_t past 84.  Horner holds its coefficients in one of two ways,
+picked from the table: a list with one add per live coefficient, or,
+while the coefficients are narrow, one integer, the sum at x = 2^w for a
+slot width w bound by the counts (Kronecker substitution), where a unit
+step is two big-int operations, a shift and an add, and each row adds its
+Q_E(2^w) once.  The packed steps cost more the wider the slots, so the
+list takes over past _PACKED_SLOT_BITS (n = 336 sums packed, 2520 on the
+list).
 
 ``class_engine_count`` reads the domination number and the count D(1) from
 the same up-set keys (shift, free size, generator sizes) without building a
@@ -114,8 +116,8 @@ DEFAULT_BRUTE_LIMIT = 26
 ENGINE_UPSET_LIMIT = 1_500_000
 
 # Most work sum_terms takes on to sum the binomial rows, for the class
-# engine and the closed forms alike: the count of the cheaper sum (see
-# _assemble), checked before any row is built.  A unit costs about
+# engine and the closed forms alike: the smaller of the two sums' counts
+# (see _assemble), checked before any row is built.  A unit costs about
 # 0.1-0.4 us on the same machine, the more the wider the coefficients, so
 # this is about 10 s at |V| = 7 235 (n = 9828 counts 26.2 M).  No closed
 # form within zdgraph.VERTEX_LIMIT comes near it: one has at most 27
@@ -129,15 +131,6 @@ ENGINE_WORK_LIMIT = 30_000_000
 # Past 36 vertices each further vertex doubles the low bitsets, which hold
 # 2^16 bits at 40.
 BRUTE_CEILING = 40
-
-# What one unit step of Horner's sum costs besides its adds, in adds: the
-# new live window and the loop around it take about as long as 10 adds of
-# small ints.  It weighs in when _assemble picks a sum, not in the work
-# checked against ENGINE_WORK_LIMIT, which bounds big-int operations.  Had
-# Horner been picked by its adds alone, it would have been the slower sum
-# for 44 (n, kind) with n < 1200, all with |V| <= 109 (2-core Xeon,
-# Python 3.11).
-_HORNER_STEP_COST = 10
 
 # Widest slot, in bits, at which _horner_sum runs on one packed integer
 # instead of a list.  A packed unit step moves the whole integer twice, so
@@ -469,8 +462,11 @@ def _upset_terms(n, up, sizes):
 
 def _assemble(terms, nv):
     """(rows, work, sum_rows) for the terms {(shift, free, gens): count}:
-    the row table {E: {shift: signed count of x^shift * (1+x)^E}}, and the
-    cheaper of _flat_sum and _horner_sum with the work it counts.
+    the row table {E: {shift: signed count of x^shift * (1+x)^E}}, and of
+    _flat_sum and _horner_sum the one that counts the less work, with that
+    count.  Flat counts 2 * (E+1) per distinct E and per (E, shift) pair;
+    Horner, at each unit step of E, one add per coefficient from x^0 up to
+    the highest degree its rows have reached.
 
     The keys are grouped by ``gens`` into tables of (E, shift) entries,
     starting at E = free.  Going from the longest ``gens`` down, each
@@ -501,13 +497,12 @@ def _assemble(terms, nv):
             e, shift = divmod(key, width)
             rows.setdefault(e, {})[shift] = c
     flat = sum((e + 1) * (2 * len(shifts) + 2) for e, shifts in rows.items())
-    horner, lo, reach = 0, nv, 0
+    horner = reach = 0
     for e in range(max(rows, default=0), 0, -1):
         if e in rows:
-            lo = min(lo, min(rows[e]))
             reach = max(reach, e + max(rows[e]))
-        horner += reach - e - lo + 1
-    if horner + _HORNER_STEP_COST * max(rows, default=0) < flat:
+        horner += reach - e + 1
+    if horner < flat:
         return rows, horner, _horner_sum
     return rows, flat, _flat_sum
 
@@ -570,20 +565,16 @@ def _packed_horner_sum(rows, nv, slot):
 
 def _window_horner_sum(rows, nv):
     """Horner's sum on a list: the step to E - 1 is one add
-    live[d] + live[d-1] per coefficient of the live window, the
-    coefficients from the lowest shift added so far up."""
-    lo, live = nv, []  # live[i] is the coefficient of x^(lo + i)
+    live[d] + live[d-1] per coefficient of the live window, from x^0 up to
+    the highest degree the rows added so far reach."""
+    live = []  # live[d] is the coefficient of x^d
     for e in range(max(rows, default=0), -1, -1):
         shifts = rows.get(e)
         if shifts:
-            low = min(shifts)
-            if low < lo:
-                live[:0] = [0] * (lo - low) if live else []
-                lo = low
-            live += [0] * (max(shifts) - lo + 1 - len(live))
+            live += [0] * (max(shifts) + 1 - len(live))
             for shift, count in shifts.items():
-                live[shift - lo] += count
+                live[shift] += count
         if e:
             live.append(0)
             live = list(map(add, live, chain((0,), live)))
-    return Polynomial([0] * lo + live)
+    return Polynomial(live)

@@ -453,7 +453,7 @@ def test_closed_form_work_limit_refuses_before_rows(monkeypatch):
     with pytest.raises(CapacityError) as err:
         closed_domination(75, classify_family(factorize(75)))
     assert str(err.value) == (
-        "summing the binomial rows for n=75 counts 780 operations, over the "
+        "summing the binomial rows for n=75 counts 595 operations, over the "
         "closed-form work limit of 0")
 
 
