@@ -113,37 +113,37 @@ def _palpha_Dt(p: int, alpha: int) -> list[tuple]:
 
 
 # The D and the D_t formula of each family, each a function of the tag that
-# gives its (terms, drop).  n = 2p is the star K_(1,p-1), with
-# D = x(1+x)^(p-1) + x^(p-1) and D_t = x((1+x)^(p-1) - 1); n = p^2 is the
-# complete graph K_(p-1), with D = (1+x)^(p-1) - 1 and
-# D_t = (1+x)^(p-1) - (p-1)x - 1; n = pq is the join of the edgeless graphs
-# on q-1 and p-1 vertices, D = ((1+x)^(q-1) - 1)((1+x)^(p-1) - 1) + x^(q-1)
-# + x^(p-1), and D_t is its first term.
+# gives its term table {key: signed count}.  n = 2p is the star K_(1,p-1),
+# with D = x(1+x)^(p-1) + x^(p-1) and D_t = x((1+x)^(p-1) - 1); n = p^2 is
+# the complete graph K_(p-1), with D = (1+x)^(p-1) - 1 and
+# D_t = (1+x)^(p-1) - (p-1)x - 1, -(p-1)x a term of count 1 - p; n = pq is
+# the join of the edgeless graphs on q-1 and p-1 vertices, with D_t =
+# ((1+x)^(q-1) - 1)((1+x)^(p-1) - 1) and D = D_t + x^(q-1) + x^(p-1).
 _FORMULAS = {
-    Family.TWO_P: (lambda t: ([(1, t.p - 1, ()), (t.p - 1, 0, ())], 0),
-                   lambda t: ([(1, 0, (t.p - 1,))], 0)),
-    Family.P_SQUARE: (lambda t: ([(0, 0, (t.p - 1,))], 0),
-                      lambda t: ([(0, 0, (t.p - 1,))], t.p - 1)),
-    Family.PQ: (lambda t: ([(0, 0, (t.q - 1, t.p - 1)), (t.q - 1, 0, ()),
-                            (t.p - 1, 0, ())], 0),
-                lambda t: ([(0, 0, (t.q - 1, t.p - 1))], 0)),
-    Family.P_SQUARE_Q: (lambda t: (_psquareq_cases(t.p, t.q), 0),
-                        lambda t: (_psquareq_cases(t.p, t.q)[:1], 0)),
-    Family.PQR: (lambda t: (_pqr_cases(t.p, t.q, t.r), 0),
-                 lambda t: (_pqr_cases(t.p, t.q, t.r)[:1], 0)),
-    Family.P_ALPHA: (lambda t: (_palpha_D(t.p, t.alpha), 0),
-                     lambda t: (_palpha_Dt(t.p, t.alpha), 0)),
+    Family.TWO_P: (lambda t: Counter([(1, t.p - 1, ()), (t.p - 1, 0, ())]),
+                   lambda t: Counter([(1, 0, (t.p - 1,))])),
+    Family.P_SQUARE: (lambda t: Counter([(0, 0, (t.p - 1,))]),
+                      lambda t: {(0, 0, (t.p - 1,)): 1, (1, 0, ()): 1 - t.p}),
+    Family.PQ: (lambda t: Counter([(0, 0, (t.q - 1, t.p - 1)),
+                                   (t.q - 1, 0, ()), (t.p - 1, 0, ())]),
+                lambda t: Counter([(0, 0, (t.q - 1, t.p - 1))])),
+    Family.P_SQUARE_Q: (lambda t: Counter(_psquareq_cases(t.p, t.q)),
+                        lambda t: Counter(_psquareq_cases(t.p, t.q)[:1])),
+    Family.PQR: (lambda t: Counter(_pqr_cases(t.p, t.q, t.r)),
+                 lambda t: Counter(_pqr_cases(t.p, t.q, t.r)[:1])),
+    Family.P_ALPHA: (lambda t: Counter(_palpha_D(t.p, t.alpha)),
+                     lambda t: Counter(_palpha_Dt(t.p, t.alpha))),
 }
 
 
 def _closed_form(n: int, tag: FamilyTag, total: bool) -> Polynomial:
-    """The D (or, when ``total``, the D_t) formula of the tag's family at
-    n, checked before any of it runs: UnsupportedFamilyError when the
-    family has no formula, ValueError when the tag is not
-    ``classify_family`` of n, and CapacityError when the graph is over
-    zdgraph.VERTEX_LIMIT.  ``sum_terms`` then refuses it with
-    CapacityError, before any row is built, when the sum's counted work is
-    over domcount.ENGINE_WORK_LIMIT."""
+    """The sum of the term table of the D (or, when ``total``, the D_t)
+    formula of the tag's family at n, checked before any of it runs:
+    UnsupportedFamilyError when the family has no formula, ValueError when
+    the tag is not ``classify_family`` of n, and CapacityError when the
+    graph is over zdgraph.VERTEX_LIMIT.  ``sum_terms`` then refuses the
+    sum with CapacityError, before any row is built, when its counted work
+    is over domcount.ENGINE_WORK_LIMIT."""
     what = "total-domination" if total else "domination"
     if tag.family not in _FORMULAS:
         raise UnsupportedFamilyError(
@@ -152,8 +152,7 @@ def _closed_form(n: int, tag: FamilyTag, total: bool) -> Polynomial:
         raise ValueError(f"family tag {tag} is not the one of n={n}")
     cg = build_class_graph(n)
     check_vertex_limit(cg, "closed-form")
-    terms, drop = _FORMULAS[tag.family][total](tag)
-    return sum_terms(cg, Counter(terms), drop, "closed-form")
+    return sum_terms(cg, _FORMULAS[tag.family][total](tag), "closed-form")
 
 
 def closed_domination(n: int, tag: FamilyTag) -> Polynomial:

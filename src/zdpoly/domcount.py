@@ -49,44 +49,44 @@ the primes p | n:
 
 since class n/p has p - 1 vertices.  A clique class covered only by itself
 also needs a second selected vertex; that fails only when n = p^alpha and
-the set is one vertex of the lone class n/p, so D_t loses (p-1)*x there.
+the set is one vertex of the lone class n/p, so D_t's terms add -(p-1)x.
 
-``sum_terms`` sums the terms with no polynomial product: the engine's
-up-set terms and, in the same format, the case terms of the closed forms
-in ``closedform``.  prod((1+x)^m - 1) over the generator sizes multiplies
-out to signed powers (1+x)^E, with E = free + the sizes of a subset of the
-generators: the (1+x)-power form of D(G, x) = sum over W of
-(-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon, Tittmann and Trinks,
-Electron. J. Combin. 19(3), 2012).  Merged over the terms, they make a row
-table {E: {shift: signed count}}, which two sums read.  The flat sum
-expands each row (1+x)^E once, a multiply and a floor division per
-coefficient, and adds it, times its count, at each shift: a multiply and an
-add per coefficient, so it counts 2 * (E+1) per distinct E and per
-(E, shift) pair.  Horner in (1+x) goes down from the largest E, adds
-Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for each unit step
-of E with one add per live coefficient, from x^0 up; it counts those adds.
-Both counts come from the table before any row is built, and the smaller
-one picks the sum.  Horner wins when many shifts recur over many E
-(n = 2520: 1.9 M against 20 M), flat when there are few rows (prime
-powers, n = 2p, and D_t, whose 2^omega(n) rows all sit at shift 0) and E
-is large: Horner takes every n below 34, whose unit steps are few, and
-flat every D_t past 84.  Horner holds its coefficients in one of two ways,
-picked from the table: a list with one add per live coefficient, or,
-while the coefficients are narrow, one integer, the sum at x = 2^w for a
-slot width w bound by the counts (Kronecker substitution), where a unit
-step is two big-int operations, a shift and an add, and each row adds its
-Q_E(2^w) once.  The packed steps cost more the wider the slots, so the
-list takes over past _PACKED_SLOT_BITS (n = 336 sums packed, 2520 on the
-list).
+``sum_terms`` sums a term table {(shift, free, gens): signed count} with no
+polynomial product: the engine's up-set terms and, in the same format, the
+case terms of the closed forms in ``closedform``.  prod((1+x)^m - 1) over
+the generator sizes multiplies out to signed powers (1+x)^E, with E = free
++ the sizes of a subset of the generators: the (1+x)-power form of
+D(G, x) = sum over W of (-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon,
+Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Merged over the
+terms, they make a row table {E: {shift: signed count}}, which two sums
+read.  The flat sum expands each row (1+x)^E once, a multiply and a floor
+division per coefficient, and adds it, times its count, at each shift: a
+multiply and an add per coefficient, so it counts 2 * (E+1) per distinct E
+and per (E, shift) pair.  Horner in (1+x) goes down from the largest E,
+adds Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for each
+unit step of E with one add per live coefficient, from x^0 up; it counts
+those adds.  Both counts come from the table before any row is built, and
+the smaller one picks the sum.  Horner wins when many shifts recur over
+many E (n = 2520: 1.9 M against 20 M), flat when there are few rows (prime
+powers, n = 2p, and D_t, 2^omega(n) rows at shift 0 and, at n = p^alpha,
+the x term) and E is large: Horner takes every n below 34, whose unit
+steps are few, and flat every D_t past 84.  Horner holds its coefficients
+in one of two ways, picked from the table: a list with one add per live
+coefficient, or, while the coefficients are narrow, one integer, the sum
+at x = 2^w for a slot width w bound by the counts (Kronecker substitution),
+where a unit step is two big-int operations, a shift and an add, and each
+row adds its Q_E(2^w) once.  The packed steps cost more the wider the
+slots, so the list takes over past _PACKED_SLOT_BITS (n = 336 sums packed,
+2520 on the list).
 
 ``class_engine_count`` reads the domination number and the count D(1) from
 the same up-set keys (shift, free size, generator sizes) without building a
-polynomial.  gamma is the least positive shift + |gens| over the keys, since
-every term's lowest coefficient is positive and no coefficient is negative.
-D(1) is the sum of count * 2^free * prod(2^m - 1), less p - 1 for D_t when
-n = p^alpha; that loss takes all of the x coefficient, so gamma_t is then 2,
-or undefined when n = 4 (one vertex).  So ``gamma`` and ``table`` pay only
-for enumerating the up-sets.
+polynomial.  D(1) is the sum of count * 2^free * prod(2^m - 1).  With no
+negative count, gamma is the least positive shift + |gens| over the keys,
+since every term's lowest coefficient is then positive and no coefficient is
+negative.  D_t's negative count, at n = p^alpha, takes all of the x
+coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).  So
+``gamma`` and ``table`` pay only for enumerating the up-sets.
 
 The band reference in ``tests/band_reference.py`` enumerates per-class
 occupancy bands outright and shares no code with this engine.
@@ -308,16 +308,14 @@ def _meet_masks(conditions, bits):
 
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
-    the sum of the up-set terms of ``_engine_terms``.  Raises CapacityError
+    the sum of the term table of ``_engine_terms``.  Raises CapacityError
     as ``_engine_terms`` and ``sum_terms`` do."""
-    terms, drop = _engine_terms(cg, kind)
-    return sum_terms(cg, terms, drop, "class-engine")
+    return sum_terms(cg, _engine_terms(cg, kind), "class-engine")
 
 
-def sum_terms(cg: ClassGraph, terms: dict, drop: int,
-              what: str) -> Polynomial:
-    """The sum of the terms {(shift, free, gens): count}, less drop * x, as
-    a polynomial of degree at most ``cg.vertex_count``: the table
+def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
+    """The sum of the terms {(shift, free, gens): signed count} as a
+    polynomial of degree at most ``cg.vertex_count``: the table
     ``_assemble`` makes, summed by the sum it picks.  Raises CapacityError,
     naming ``what`` refused it, when the sum's counted work is over
     ENGINE_WORK_LIMIT, before any row is built."""
@@ -327,22 +325,22 @@ def sum_terms(cg: ClassGraph, terms: dict, drop: int,
         raise CapacityError(
             f"summing the binomial rows for n={cg.n} counts {work} "
             f"operations, over the {what} work limit of {ENGINE_WORK_LIMIT}")
-    return sum_rows(rows, nv) - Polynomial((0, drop))
+    return sum_rows(rows, nv)
 
 
 def class_engine_count(cg: ClassGraph,
                        kind: DominationKind) -> tuple[int | None, int]:
     """(gamma, count) of ``cg``: ``gamma_from_poly`` and the value at 1 of
-    ``class_engine_poly(cg, kind)``, read from the up-set keys of
+    ``class_engine_poly(cg, kind)``, read from the term table of
     ``_engine_terms`` by the rules in the module docstring, without building
     a polynomial.  Raises CapacityError as ``class_engine_poly`` does."""
-    terms, drop = _engine_terms(cg, kind)
-    count = -drop
+    terms = _engine_terms(cg, kind)
+    count = 0
     for (_, free, gens), c in terms.items():
         for m in gens:
             c *= (1 << m) - 1
         count += c << free
-    if drop:
+    if any(c < 0 for c in terms.values()):
         return (2 if cg.vertex_count >= 2 else None), count
     gamma = min((shift + len(gens) for shift, _, gens in terms
                  if shift + len(gens)), default=None)
@@ -350,10 +348,9 @@ def class_engine_count(cg: ClassGraph,
 
 
 def _engine_terms(cg, kind):
-    """(terms, drop) for ``cg``: the up-set key table
-    {(shift, free size, sorted generator sizes): count} whose terms sum to
-    the counting polynomial plus drop * x, where drop is the p - 1 that D_t
-    loses when n = p^alpha and 0 otherwise.
+    """The up-set key table {(shift, free size, sorted generator sizes):
+    count} of ``cg``, whose terms sum to the counting polynomial.  D_t's
+    table adds the key (1, 0, ()) with count -(p - 1) when n = p^alpha.
 
     The classes ascend, so the partner n/d_j of class j is class k - 1 - j,
     and ``neighbors[k - 1 - j]`` is the up-set of class j.  D_t's
@@ -374,12 +371,14 @@ def _engine_terms(cg, kind):
     check_vertex_limit(cg, "class-engine")
     if kind is DominationKind.ORDINARY:
         return _upset_terms(cg.n, cg.neighbors[::-1],
-                            [c.size for c in cg.classes]), 0
+                            [c.size for c in cg.classes])
     # With U all classes, every class but the generators n/p is free.  A
     # prime n has no classes, so no generators.
     gens = tuple(p - 1 for p, _ in factorize(cg.n).factors if p < cg.n)
-    return ({(0, cg.vertex_count - sum(gens), gens): 1},
-            gens[0] if len(gens) == 1 else 0)
+    terms = {(0, cg.vertex_count - sum(gens), gens): 1}
+    if len(gens) == 1:
+        terms[1, 0, ()] = -gens[0]
+    return terms
 
 
 def _bits(mask):
@@ -425,11 +424,9 @@ def _upset_terms(n, up, sizes):
         for m in sizes[low:low + 8]:
             table += [t + m for t in table]
         tables.append(table)
-    if nbytes == 1:
-        size = tables[0].__getitem__
-    else:
-        def size(mask):
-            return sum(map(getitem, tables, mask.to_bytes(nbytes, "little")))
+
+    def size(mask):
+        return sum(map(getitem, tables, mask.to_bytes(nbytes, "little")))
     gens_of = {}  # U & pi(A) -> sorted generator sizes
     terms = {}
     count = 0

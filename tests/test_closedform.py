@@ -57,9 +57,9 @@ def family_formula(family, kind, nv, **params):
     which need not be primes, for a graph of ``nv`` vertices: the formula
     read on the graph it describes."""
     formula = cf._FORMULAS[family][kind is TOT]
-    terms, drop = formula(FamilyTag(family, **params))
     graph = SimpleNamespace(n=0, vertex_count=nv)
-    return sum_terms(graph, Counter(terms), drop, "closed-form")
+    return sum_terms(graph, formula(FamilyTag(family, **params)),
+                     "closed-form")
 
 
 def test_complete_graph_polys_vs_brute():

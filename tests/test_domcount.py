@@ -332,7 +332,7 @@ def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
     there.  Horner's counted adds alone pick it at 60 D_t, 696 and 1590,
     where it took 0.4-0.7 times the flat sum's time (2-core Xeon)."""
     cg = build_class_graph(n)
-    terms, _ = dc._engine_terms(cg, kind)
+    terms = dc._engine_terms(cg, kind)
     _, got_work, got_sum = dc._assemble(terms, cg.vertex_count)
     assert (got_work, got_sum.__name__) == (work, sum_rows)
     assert work <= dc.ENGINE_WORK_LIMIT
@@ -555,7 +555,7 @@ def test_upset_walk_matches_reference(monkeypatch):
         cg = build_class_graph(n)
         terms, count = _reference_upset_terms(cg)
         monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", count)
-        assert dc._engine_terms(cg, ORD) == (terms, 0), n
+        assert dc._engine_terms(cg, ORD) == terms, n
         monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", count - 1)
         with pytest.raises(CapacityError):
             dc._engine_terms(cg, ORD)
@@ -573,9 +573,8 @@ def test_engine_matches_flat_reference(monkeypatch):
     for n in range(2, 1200):
         cg = build_class_graph(n)
         for kind in (ORD, TOT):
-            terms, drop = dc._engine_terms(cg, kind)
-            expected = (_flat_reference(terms, cg.vertex_count)
-                        - Polynomial((0, drop)))
+            expected = _flat_reference(dc._engine_terms(cg, kind),
+                                       cg.vertex_count)
             assert _engine_poly(n, kind) == expected, (n, kind)
     assert calls["_flat_sum"] and calls["_horner_sum"], calls
 
@@ -607,6 +606,23 @@ def test_engine_count_edge_cases(n, ordinary, total):
     cg = build_class_graph(n)
     assert class_engine_count(cg, ORD) == ordinary
     assert class_engine_count(cg, TOT) == total
+
+
+def test_engine_counts_are_signed_only_at_the_prime_power_x():
+    """class_engine_count reads gamma as the least positive shift + |gens|,
+    which holds only with no negative count.  Below 1200, every count of
+    D's up-set keys is positive, and D_t's table has a negative count only
+    at (1, 0, ()), the -(p-1)x of n = p^alpha, alpha >= 2, and there."""
+    for n in range(2, 1200):
+        cg = build_class_graph(n)
+        assert all(c > 0 for c in dc._engine_terms(cg, ORD).values()), n
+        negative = {key: c for key, c in dc._engine_terms(cg, TOT).items()
+                    if c < 0}
+        (p, alpha), *others = factorize(n).factors
+        if alpha >= 2 and not others:
+            assert negative == {(1, 0, ()): 1 - p}, n
+        else:
+            assert not negative, n
 
 
 def test_engine_beyond_sweep_reach():
