@@ -23,7 +23,7 @@ import signal
 import sys
 
 from .domcount import (DEFAULT_BRUTE_LIMIT, DominationKind, class_engine_count,
-                       gamma_from_poly)
+                       engine_terms, gamma_from_poly, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family, factorize
 from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
@@ -109,8 +109,8 @@ def cmd_graph(args) -> int:
 def cmd_gamma(args) -> int:
     n = args.n
     cg = build_class_graph(n)
-    gamma, _ = class_engine_count(cg, DominationKind.ORDINARY)
-    gamma_total, _ = class_engine_count(cg, DominationKind.TOTAL)
+    gamma, gamma_total = (terms_gamma(cg, engine_terms(cg, k))
+                          for k in DominationKind)
     if args.json:
         print(json.dumps(
             {"n": n, "gamma": gamma, "gamma_total": gamma_total}))

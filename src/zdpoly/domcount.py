@@ -79,14 +79,14 @@ row adds its Q_E(2^w) once.  The packed steps cost more the wider the
 slots, so the list takes over past _PACKED_SLOT_BITS (n = 336 sums packed,
 2520 on the list).
 
-``class_engine_count`` reads the domination number and the count D(1) from
-the same up-set keys (shift, free size, generator sizes) without building a
-polynomial.  D(1) is the sum of count * 2^free * prod(2^m - 1).  With no
+``terms_gamma`` reads the domination number from the up-set keys (shift,
+free size, generator sizes) without building a polynomial.  With no
 negative count, gamma is the least positive shift + |gens| over the keys,
 since every term's lowest coefficient is then positive and no coefficient is
 negative.  D_t's negative count, at n = p^alpha, takes all of the x
-coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).  So
-``gamma`` and ``table`` pay only for enumerating the up-sets.
+coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).
+``class_engine_count`` adds D(1), the sum of count * 2^free * prod(2^m - 1).
+So ``gamma`` and ``table`` only walk the up-sets, ``verify`` once per kind.
 
 The band reference in ``tests/band_reference.py`` enumerates per-class
 occupancy bands outright and shares no code with this engine.
@@ -308,9 +308,9 @@ def _meet_masks(conditions, bits):
 
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
-    the sum of the term table of ``_engine_terms``.  Raises CapacityError
-    as ``_engine_terms`` and ``sum_terms`` do."""
-    return sum_terms(cg, _engine_terms(cg, kind), "class-engine")
+    the sum of the term table of ``engine_terms``.  Raises CapacityError
+    as ``engine_terms`` and ``sum_terms`` do."""
+    return sum_terms(cg, engine_terms(cg, kind), "class-engine")
 
 
 def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
@@ -331,23 +331,27 @@ def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
 def class_engine_count(cg: ClassGraph,
                        kind: DominationKind) -> tuple[int | None, int]:
     """(gamma, count) of ``cg``: ``gamma_from_poly`` and the value at 1 of
-    ``class_engine_poly(cg, kind)``, read from the term table of
-    ``_engine_terms`` by the rules in the module docstring, without building
-    a polynomial.  Raises CapacityError as ``class_engine_poly`` does."""
-    terms = _engine_terms(cg, kind)
+    ``class_engine_poly(cg, kind)``, read from one walk's ``engine_terms``
+    table.  Raises CapacityError as ``engine_terms`` does."""
+    terms = engine_terms(cg, kind)
     count = 0
     for (_, free, gens), c in terms.items():
         for m in gens:
             c *= (1 << m) - 1
         count += c << free
+    return terms_gamma(cg, terms), count
+
+
+def terms_gamma(cg: ClassGraph, terms: dict) -> int | None:
+    """``gamma_from_poly`` of the sum of ``terms``, an ``engine_terms``
+    table of ``cg``, read from its keys (see the module docstring)."""
     if any(c < 0 for c in terms.values()):
-        return (2 if cg.vertex_count >= 2 else None), count
-    gamma = min((shift + len(gens) for shift, _, gens in terms
-                 if shift + len(gens)), default=None)
-    return gamma, count
+        return 2 if cg.vertex_count >= 2 else None
+    return min((shift + len(gens) for shift, _, gens in terms
+                if shift + len(gens)), default=None)
 
 
-def _engine_terms(cg, kind):
+def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     """The up-set key table {(shift, free size, sorted generator sizes):
     count} of ``cg``, whose terms sum to the counting polynomial.  D_t's
     table adds the key (1, 0, ()) with count -(p - 1) when n = p^alpha.

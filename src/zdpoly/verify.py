@@ -10,12 +10,13 @@ formula is pinpointed rather than merely flagged.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from typing import NamedTuple
 
 from .closedform import closed_domination, closed_total_domination
 from .domcount import (DominationKind, brute_force_poly, check_brute_size,
-                       class_engine_count, class_engine_poly,
-                       gamma_from_poly, resolve_brute_limit)
+                       class_engine_poly, engine_terms, resolve_brute_limit,
+                       sum_terms, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import FamilyTag, classify_family, factorize
 from .polyring import Polynomial
@@ -92,29 +93,20 @@ def _timed(fn):
     return MethodOutcome(polynomial=value, skipped=err, millis=millis)
 
 
-def _gamma_pair(cg: ClassGraph, kind: DominationKind,
-                outcomes: dict[str, MethodOutcome]):
-    """Domination numbers for the report, from the class engine only, as
-    in ``gamma`` and ``table``, by one rule for both kinds: read from the
-    engine's polynomial when it was built, else from its up-set keys, else
-    None where the engine was refused."""
-    gammas = []
-    for k in DominationKind:  # ORDINARY, then TOTAL
-        poly = outcomes[METHOD_CLASSES].polynomial if k is kind else None
-        try:
-            gammas.append(class_engine_count(cg, k)[0] if poly is None
-                          else gamma_from_poly(poly))
-        except CapacityError:
-            gammas.append(None)
-    return tuple(gammas)
-
-
 def run_verification(n: int, kind: DominationKind,
                      brute_limit: int | None = None) -> VerificationReport:
+    """Report on n for ``kind`` by every method of METHODS.  Each kind's
+    up-sets are walked at most once: ``classes`` sums its kind's table, and
+    ``terms_gamma`` reads both gammas from the tables, None where refused."""
     cg = build_class_graph(n)
-    outcomes = {
-        m: _timed(lambda m=m: compute(m, cg, kind, brute_limit))
-        for m in METHODS}
+    terms = dict.fromkeys(DominationKind)  # ORDINARY, then TOTAL
+
+    def classes():
+        terms[kind] = engine_terms(cg, kind)
+        return sum_terms(cg, terms[kind], "class-engine")
+    outcomes = {m: _timed(classes if m == METHOD_CLASSES else
+                          lambda m=m: compute(m, cg, kind, brute_limit))
+                for m in METHODS}
     ran = tuple(m for m in METHODS if outcomes[m].polynomial is not None)
     polys = {m: outcomes[m].polynomial for m in ran}
     distinct = set(polys.values())
@@ -131,7 +123,11 @@ def run_verification(n: int, kind: DominationKind,
         status = STATUS_ALL_AGREE
     else:
         status = STATUS_PARTIAL
-    gamma, gamma_total = _gamma_pair(cg, kind, outcomes)
+    for k in terms.keys() - {kind}:
+        with suppress(CapacityError):
+            terms[k] = engine_terms(cg, k)
+    gamma, gamma_total = (None if t is None else terms_gamma(cg, t)
+                          for t in terms.values())
     return VerificationReport(
         n=n, family=classify_family(factorize(n)), kind=kind,
         outcomes=outcomes, status=status, compared=ran,

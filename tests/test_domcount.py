@@ -332,7 +332,7 @@ def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
     there.  Horner's counted adds alone pick it at 60 D_t, 696 and 1590,
     where it took 0.4-0.7 times the flat sum's time (2-core Xeon)."""
     cg = build_class_graph(n)
-    terms = dc._engine_terms(cg, kind)
+    terms = dc.engine_terms(cg, kind)
     _, got_work, got_sum = dc._assemble(terms, cg.vertex_count)
     assert (got_work, got_sum.__name__) == (work, sum_rows)
     assert work <= dc.ENGINE_WORK_LIMIT
@@ -555,10 +555,10 @@ def test_upset_walk_matches_reference(monkeypatch):
         cg = build_class_graph(n)
         terms, count = _reference_upset_terms(cg)
         monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", count)
-        assert dc._engine_terms(cg, ORD) == terms, n
+        assert dc.engine_terms(cg, ORD) == terms, n
         monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", count - 1)
         with pytest.raises(CapacityError):
-            dc._engine_terms(cg, ORD)
+            dc.engine_terms(cg, ORD)
 
 
 def test_engine_matches_flat_reference(monkeypatch):
@@ -573,7 +573,7 @@ def test_engine_matches_flat_reference(monkeypatch):
     for n in range(2, 1200):
         cg = build_class_graph(n)
         for kind in (ORD, TOT):
-            expected = _flat_reference(dc._engine_terms(cg, kind),
+            expected = _flat_reference(dc.engine_terms(cg, kind),
                                        cg.vertex_count)
             assert _engine_poly(n, kind) == expected, (n, kind)
     assert calls["_flat_sum"] and calls["_horner_sum"], calls
@@ -615,8 +615,8 @@ def test_engine_counts_are_signed_only_at_the_prime_power_x():
     at (1, 0, ()), the -(p-1)x of n = p^alpha, alpha >= 2, and there."""
     for n in range(2, 1200):
         cg = build_class_graph(n)
-        assert all(c > 0 for c in dc._engine_terms(cg, ORD).values()), n
-        negative = {key: c for key, c in dc._engine_terms(cg, TOT).items()
+        assert all(c > 0 for c in dc.engine_terms(cg, ORD).values()), n
+        negative = {key: c for key, c in dc.engine_terms(cg, TOT).items()
                     if c < 0}
         (p, alpha), *others = factorize(n).factors
         if alpha >= 2 and not others:

@@ -128,6 +128,41 @@ def test_gamma_read_from_the_keys_when_the_polynomial_is_refused(monkeypatch):
     assert rep.gamma_total == class_engine_count(cg, TOT)[0]
 
 
+_UPSETS_REFUSED = ("counting up-sets of divisor classes for n=2520 reached "
+                   "10001, over the class-engine up-set limit of 10000")
+
+
+@pytest.mark.parametrize("n, kind, limits, gammas, skipped", [
+    (360, ORD, {}, (3, 3), None),
+    (360, ORD, {"ENGINE_WORK_LIMIT": 0}, (3, 3),
+     "summing the binomial rows for n=360 counts 34716 operations, over "
+     "the class-engine work limit of 0"),
+    (2520, ORD, {"ENGINE_UPSET_LIMIT": 10_000}, (None, 4), _UPSETS_REFUSED),
+    (2520, TOT, {}, (4, 4), None),
+    (2520, TOT, {"ENGINE_UPSET_LIMIT": 10_000}, (None, 4), None),
+], ids=["360-built", "360-sum-refused", "2520-walk-refused", "2520-total",
+        "2520-total-D-refused"])
+def test_each_kind_is_walked_once(monkeypatch, n, kind, limits, gammas,
+                                  skipped):
+    """run_verification walks the D up-sets once, whether the polynomial
+    is built, its sum is refused, the walk is refused, or D is only read
+    for gamma; D_t's table is a product and walks nothing."""
+    walk = dc._upset_terms
+    walked = []
+
+    def counted(*args):
+        walked.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(dc, "_upset_terms", counted)
+    for name, value in limits.items():
+        monkeypatch.setattr(dc, name, value)
+    rep = run_verification(n, kind)
+    assert walked == [n]
+    assert (rep.gamma, rep.gamma_total) == gammas
+    assert rep.outcomes[METHOD_CLASSES].skipped == skipped
+
+
 def test_mismatch_lists_every_running_method():
     rep = run_verification(45, ORD)
     assert rep.status == STATUS_MISMATCH
