@@ -22,7 +22,7 @@ import json
 import signal
 import sys
 
-from .domcount import (DEFAULT_BRUTE_LIMIT, DominationKind, class_engine_count,
+from .domcount import (BRUTE_CEILING, DominationKind, class_engine_count,
                        engine_terms, gamma_from_poly, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family, factorize
@@ -46,7 +46,7 @@ def cmd_poly(args) -> int:
     n = args.n
     cg = build_class_graph(n)
     kind = _kind(args)
-    poly = compute(args.method, cg, kind, args.brute_limit)
+    poly = compute(args.method, cg, kind)
     if cg.vertex_count == 0:
         print(f"note: {n} has no nonzero zero-divisors; the graph is empty",
               file=sys.stderr)
@@ -64,7 +64,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rep = run_verification(args.n, _kind(args), args.brute_limit)
+    rep = run_verification(args.n, _kind(args))
     if args.json:
         print(json.dumps(report_to_dict(rep)))
     else:
@@ -140,10 +140,11 @@ def cmd_table(args) -> int:
         cg = build_class_graph(n)
         if cg.vertex_count == 0:
             continue
-        try:
-            gamma, d_count = class_engine_count(cg, DominationKind.ORDINARY)
-            gamma_total, dt_count = class_engine_count(cg,
-                                                       DominationKind.TOTAL)
+        try:  # D first: its refusal is noted where both kinds are refused
+            (gamma, d_count), (gamma_total, dt_count) = (
+                class_engine_count(cg, k) if k is kind
+                else (terms_gamma(cg, engine_terms(cg, k)), None)
+                for k in DominationKind)
         except CapacityError as exc:
             _note_capacity(exc)
             status = EXIT_CAPACITY
@@ -186,22 +187,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("n", type=int)
     p_poly.add_argument("--total", action="store_true",
                         help="total domination instead of ordinary")
-    p_poly.add_argument("--method", choices=METHODS, default=METHOD_CLASSES)
-    p_poly.add_argument("--brute-limit", type=int, default=None,
-                        help="vertex cap for --method brute "
-                             f"(default {DEFAULT_BRUTE_LIMIT})")
+    p_poly.add_argument("--method", choices=METHODS, default=METHOD_CLASSES,
+                        help="computation to run (default classes); brute "
+                             f"takes at most {BRUTE_CEILING} vertices")
     p_poly.add_argument("--json", action="store_true")
     p_poly.set_defaults(func=cmd_poly)
 
-    p_verify = sub.add_parser("verify", help="compare all applicable methods")
+    p_verify = sub.add_parser("verify", help="compare all applicable methods",
+                              description="brute force is skipped past "
+                                          f"{BRUTE_CEILING} vertices")
     p_verify.add_argument("n", type=int)
     p_verify.add_argument("--total", action="store_true",
                           help="total domination instead of ordinary")
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 2 when methods disagree")
-    p_verify.add_argument("--brute-limit", type=int, default=None,
-                          help="vertex cap for the brute method "
-                               f"(default {DEFAULT_BRUTE_LIMIT})")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

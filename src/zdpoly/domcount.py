@@ -12,7 +12,7 @@ low) they leave with an uncovered member; a low subset completes such a
 pair exactly when it covers a member of each of those groups, so the size
 histogram of the completing low subsets is computed once per distinct set
 of groups.  Since one bitwise operation tests thousands of subsets, a call
-for D takes about 1 ms at 26 vertices and 0.14 s at 40, the ceiling.
+for D takes about 2 ms at 26 vertices and at most 0.3 s up to 40, its limit.
 
 ``class_engine_poly`` works on the divisor classes instead.  Class d (the
 vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e,
@@ -104,7 +104,6 @@ from .numtheory import factorize
 from .polyring import Polynomial, binomial_expand
 from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
-DEFAULT_BRUTE_LIMIT = 26
 # Most up-sets (antichains of proper divisors) the class engine enumerates
 # for D, in class_engine_poly and class_engine_count alike.  On a 2-core
 # Xeon with Python 3.11 a visit costs about 3 us when its term is kept
@@ -125,11 +124,11 @@ ENGINE_UPSET_LIMIT = 1_500_000
 # flat sum, so at most 5.4 M.
 ENGINE_WORK_LIMIT = 30_000_000
 
-# Most vertices brute force takes on whatever the limit.  Per kind, D and
-# D_t, on a 2-core Xeon with Python 3.11: 1.0 and 0.5 ms at 26 vertices
-# (n = 63), 46 and 24 ms at 34 (n = 75), 0.14 and 0.07 s at 40 (n = 185).
-# Past 36 vertices each further vertex doubles the low bitsets, which hold
-# 2^16 bits at 40.
+# The brute-force limit: most vertices brute force takes.  Per kind, D and
+# D_t, on a 2-core Xeon with Python 3.11: 1.6 and 0.9 ms at 26 vertices
+# (n = 63), 81 and 41 ms at 34 (n = 75), 0.16 and 0.08 s at 40 (n = 185),
+# and at most 0.3 and 0.15 s, at 38 and 39 (n = 99 and 76).  Past 36
+# vertices each further vertex doubles the low bitsets, 2^16 bits at 40.
 BRUTE_CEILING = 40
 
 # Widest slot, in bits, at which _horner_sum runs on one packed integer
@@ -163,26 +162,23 @@ class DominationKind(Enum):
 
 
 def resolve_brute_limit(flag: int | None = None) -> int:
-    """Effective brute-force vertex limit: ``flag``, or DEFAULT_BRUTE_LIMIT
-    when it is None.  Raises ValueError for a negative limit."""
+    """Effective brute-force vertex limit: ``flag`` capped at BRUTE_CEILING,
+    BRUTE_CEILING when None.  Raises ValueError for a negative limit."""
     if flag is None:
-        return DEFAULT_BRUTE_LIMIT
+        return BRUTE_CEILING
     if flag < 0:
         raise ValueError(f"brute-force limit must be >= 0, got {flag}")
-    return flag
+    return min(flag, BRUTE_CEILING)
 
 
-def check_brute_size(vertex_count: int, limit: int) -> None:
+def check_brute_size(vertex_count: int, limit: int | None = None) -> None:
     """Raise CapacityError when a graph of ``vertex_count`` vertices is over
-    the brute-force ``limit`` or BRUTE_CEILING; callers check before
-    expanding the graph."""
+    ``resolve_brute_limit(limit)``; callers check before expanding the
+    graph."""
+    limit = resolve_brute_limit(limit)
     if vertex_count > limit:
         raise CapacityError(f"{vertex_count} vertices exceeds the "
                             f"brute-force limit of {limit}")
-    if vertex_count > BRUTE_CEILING:
-        raise CapacityError(
-            f"brute force would enumerate 2^{vertex_count} vertex subsets "
-            f"and stops at {BRUTE_CEILING} vertices")
 
 
 def gamma_from_poly(p: Polynomial) -> int | None:
@@ -223,10 +219,10 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     AND chain and one popcount per low size over 2^low bits.  The tables
     are a bitset of 2^low bits per group and per low size and one of
     2^block bits per vertex and per block size, about 0.4 MB at 40
-    vertices.  Refuses graphs above ``limit`` vertices or BRUTE_CEILING.
+    vertices.  Refuses graphs above ``resolve_brute_limit(limit)`` vertices.
     """
     nv = len(vg.labels)
-    check_brute_size(nv, resolve_brute_limit(limit))
+    check_brute_size(nv, limit)
     if kind is DominationKind.ORDINARY:
         nbh = list(vg.closed)
     else:

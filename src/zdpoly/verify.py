@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 from .closedform import closed_domination, closed_total_domination
 from .domcount import (DominationKind, brute_force_poly, check_brute_size,
-                       class_engine_poly, engine_terms, resolve_brute_limit,
-                       sum_terms, terms_gamma)
+                       class_engine_poly, engine_terms, sum_terms, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import FamilyTag, classify_family, factorize
 from .polyring import Polynomial
@@ -32,20 +31,17 @@ STATUS_PARTIAL = "partial"
 STATUS_MISMATCH = "mismatch"
 
 
-def compute(method: str, cg: ClassGraph, kind: DominationKind,
-            brute_limit: int | None = None) -> Polynomial:
+def compute(method: str, cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg`` by one of METHODS.
 
-    ``brute_limit`` is resolved as in ``resolve_brute_limit``, and a graph
-    over it is refused before it is expanded.  Each method checks its own
-    limits before its work and raises CapacityError past them.  The closed
-    forms take ``classify_family`` of ``cg.n`` and raise
-    UnsupportedFamilyError when no formula covers it.
+    Each method checks its own limits before its work and raises
+    CapacityError past them; brute force refuses a graph over its vertex
+    limit before it is expanded.  The closed forms take ``classify_family``
+    of ``cg.n`` and raise UnsupportedFamilyError when no formula covers it.
     """
     if method == METHOD_BRUTE:
-        limit = resolve_brute_limit(brute_limit)
-        check_brute_size(cg.vertex_count, limit)
-        return brute_force_poly(expand_vertex_graph(cg), kind, limit)
+        check_brute_size(cg.vertex_count)
+        return brute_force_poly(expand_vertex_graph(cg), kind)
     if method == METHOD_CLASSES:
         return class_engine_poly(cg, kind)
     if method == METHOD_CLOSED:
@@ -93,8 +89,7 @@ def _timed(fn):
     return MethodOutcome(polynomial=value, skipped=err, millis=millis)
 
 
-def run_verification(n: int, kind: DominationKind,
-                     brute_limit: int | None = None) -> VerificationReport:
+def run_verification(n: int, kind: DominationKind) -> VerificationReport:
     """Report on n for ``kind`` by every method of METHODS.  Each kind's
     up-sets are walked at most once: ``classes`` sums its kind's table, and
     ``terms_gamma`` reads both gammas from the tables, None where refused."""
@@ -105,7 +100,7 @@ def run_verification(n: int, kind: DominationKind,
         terms[kind] = engine_terms(cg, kind)
         return sum_terms(cg, terms[kind], "class-engine")
     outcomes = {m: _timed(classes if m == METHOD_CLASSES else
-                          lambda m=m: compute(m, cg, kind, brute_limit))
+                          lambda m=m: compute(m, cg, kind))
                 for m in METHODS}
     ran = tuple(m for m in METHODS if outcomes[m].polynomial is not None)
     polys = {m: outcomes[m].polynomial for m in ran}

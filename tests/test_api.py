@@ -136,8 +136,9 @@ def test_readme_library_snippet_results():
         else:
             exec(compile(ast.Module([stmt], []), README.name, "exec"),
                  namespace)
-    gamma_triple, overcount, status = values
+    gamma_triple, overcount, status, compared = values
     assert gamma_triple == (34, 34, 2)
     assert overcount == Polynomial([0] * 9 + [2])
     assert str(overcount) == "2*x^9"
     assert status == "mismatch"
+    assert compared == ("brute", "classes", "closed")

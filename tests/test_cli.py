@@ -90,17 +90,24 @@ def test_poly_brute_capacity_exit_code():
 
 
 def test_brute_limit_env_and_flag():
-    # n = 45 has 20 vertices.  Only the flag sets the limit; the variable
-    # once read as its default is ignored.
-    res = run_cli("poly", "45", "--method", "brute", "--brute-limit", "10")
-    assert res.returncode == 3
-
-    res = run_cli("poly", "45", "--method", "brute", "--brute-limit", "20")
-    assert res.returncode == 0
-
-    res = run_cli("poly", "45", "--method", "brute",
+    """Brute force has one limit, 40 vertices, that neither a flag nor the
+    variable once read as its default changes."""
+    # n = 185 has 40 vertices and n = 82 has 41, the fewest over the limit.
+    res = run_cli("poly", "185", "--method", "brute",
                   env_extra={"ZDPOLY_BRUTE_LIMIT": "10"})
     assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli("poly", "185").stdout
+
+    res = run_cli("poly", "82", "--method", "brute",
+                  env_extra={"ZDPOLY_BRUTE_LIMIT": "100"})
+    assert res.returncode == 3
+    assert res.stderr == ("zdpoly: capacity: 41 vertices exceeds the "
+                          "brute-force limit of 40\n")
+
+    res = run_cli("verify", "185", "--brute-limit", "10")
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1] == (
+        "zdpoly: error: unrecognized arguments: --brute-limit 10")
 
 
 def _unquoted(line):
@@ -120,8 +127,8 @@ USAGE_ERRORS = [
     (("poly", "9", "--method", "psychic"),
      "zdpoly poly: error: argument --method: invalid choice: 'psychic' "
      "(choose from 'brute', 'classes', 'closed')"),
-    (("poly", "6", "--method", "brute", "--brute-limit", "-1"),
-     "zdpoly: error: brute-force limit must be >= 0, got -1"),
+    (("poly", "6", "--method", "brute", "--brute-limit", "10"),
+     "zdpoly: error: unrecognized arguments: --brute-limit 10"),
     (("verify", "0"), "zdpoly: error: n must be >= 2, got 0"),
     (("graph", "1"), "zdpoly: error: n must be >= 2, got 1"),
     (("poly", "9", "--method", "auto"),
@@ -151,11 +158,13 @@ def test_main_returns_status_and_never_raises(capsys):
 
 @pytest.mark.parametrize("command", ["poly", "verify"])
 def test_help_names_brute_limit_default(capsys, command):
+    """Help names brute force's one limit, which no option sets."""
     assert cli.main([command, "--help"]) == 0
     # argparse wraps help text to the terminal width.
     text = " ".join(capsys.readouterr().out.split())
     assert "--total total domination instead of ordinary" in text
-    assert "(default 26)" in text
+    assert "40 vertices" in text
+    assert "--brute-limit" not in text
 
 
 def test_verify_text_and_strict():
@@ -323,7 +332,7 @@ def test_verify_over_vertex_limit_skips_every_method():
     payload = json.loads(res.stdout)
     skipped = {m: entry["skipped"] for m, entry in payload["methods"].items()}
     assert skipped == {
-        "brute": "100003 vertices exceeds the brute-force limit of 26",
+        "brute": "100003 vertices exceeds the brute-force limit of 40",
         "classes": ("n=200006 has 100003 vertices, over the class-engine "
                     "limit of 50000"),
         "closed": ("n=200006 has 100003 vertices, over the closed-form "

@@ -129,15 +129,20 @@ def test_no_empty_set_dominates_nonempty_graph():
 
 def test_brute_limit_enforced():
     vg = expand_vertex_graph(build_class_graph(45))  # 20 vertices
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^20 vertices exceeds the "
+                                            "brute-force limit of 19$"):
         brute_force_poly(vg, ORD, limit=19)
     assert brute_force_poly(vg, ORD, limit=20).coefficient(0) == 0
-    # 40 vertices is the ceiling whatever the limit
+    # 40 vertices is the one limit, and a larger limit is capped at it,
+    # with the same refusal: n = 82 has 41 vertices.
+    check_brute_size(40)
     check_brute_size(40, 100)
-    with pytest.raises(CapacityError) as err:
-        check_brute_size(41, 100)
-    assert str(err.value) == ("brute force would enumerate 2^41 vertex "
-                              "subsets and stops at 40 vertices")
+    vg = expand_vertex_graph(build_class_graph(82))
+    for limit in (None, 41, 100):
+        with pytest.raises(CapacityError) as err:
+            brute_force_poly(vg, TOT, limit)
+        assert str(err.value) == ("41 vertices exceeds the brute-force "
+                                  "limit of 40")
 
 
 def _plain_count(closed, kind):
@@ -234,19 +239,23 @@ def test_brute_ignores_limit_variable(monkeypatch):
     the default, ZDPOLY_BRUTE_LIMIT, changes nothing."""
     vg = expand_vertex_graph(build_class_graph(45))  # 20 vertices
     monkeypatch.setenv("ZDPOLY_BRUTE_LIMIT", "10")
-    assert resolve_brute_limit() == 26
+    assert resolve_brute_limit() == 40
     assert brute_force_poly(vg, ORD) == class_engine_poly(
         build_class_graph(45), ORD)
     with pytest.raises(CapacityError):
         brute_force_poly(vg, ORD, limit=10)
 
 
-def test_resolve_brute_limit():
-    assert resolve_brute_limit() == 26
+def test_resolve_brute_limit(monkeypatch):
+    assert resolve_brute_limit() == resolve_brute_limit(None) == 40
     assert resolve_brute_limit(12) == 12
-    assert resolve_brute_limit(30) == 30
+    assert resolve_brute_limit(40) == 40
+    assert resolve_brute_limit(63) == 40
     with pytest.raises(ValueError):
         resolve_brute_limit(-1)
+    # The limit is read when the call is made.
+    monkeypatch.setattr(dc, "BRUTE_CEILING", 30)
+    assert resolve_brute_limit() == resolve_brute_limit(35) == 30
 
 
 def test_engine_class_capacity(monkeypatch):

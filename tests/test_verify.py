@@ -61,7 +61,7 @@ def test_large_graph_skips_brute_with_reason():
     rep = run_verification(105, ORD)
     brute = rep.outcomes[METHOD_BRUTE]
     assert brute.polynomial is None
-    assert "56" in brute.skipped and "26" in brute.skipped
+    assert brute.skipped == "56 vertices exceeds the brute-force limit of 40"
     assert rep.status == STATUS_MISMATCH
     assert rep.compared == (METHOD_CLASSES, METHOD_CLOSED)
     assert rep.disagreements
@@ -73,17 +73,21 @@ def test_large_graph_skips_brute_with_reason():
     assert rep_t.compared == (METHOD_CLASSES, METHOD_CLOSED)
 
 
-def test_brute_limit_argument():
-    rep = run_verification(45, ORD, brute_limit=10)
-    assert rep.outcomes[METHOD_BRUTE].polynomial is None
-    assert "20 vertices exceeds the brute-force limit of 10" \
-        in rep.outcomes[METHOD_BRUTE].skipped
+def test_brute_limit_argument(monkeypatch):
+    """run_verification takes no limit: brute force runs up to
+    domcount.BRUTE_CEILING vertices, read at each call."""
+    with pytest.raises(TypeError):
+        run_verification(45, ORD, brute_limit=10)
 
-    rep = run_verification(45, ORD, brute_limit=20)
+    monkeypatch.setattr(dc, "BRUTE_CEILING", 19)
+    rep = run_verification(45, ORD)  # 20 vertices
+    assert rep.outcomes[METHOD_BRUTE].skipped == (
+        "20 vertices exceeds the brute-force limit of 19")
+    assert rep.compared == (METHOD_CLASSES, METHOD_CLOSED)
+
+    monkeypatch.setattr(dc, "BRUTE_CEILING", 20)
+    rep = run_verification(45, ORD)
     assert rep.outcomes[METHOD_BRUTE].polynomial is not None
-
-    with pytest.raises(ValueError):
-        run_verification(6, ORD, brute_limit=-1)
 
 
 def test_compute_dispatches_each_method(monkeypatch):
@@ -97,11 +101,14 @@ def test_compute_dispatches_each_method(monkeypatch):
         raise AssertionError("expanded a graph over the brute-force limit")
 
     monkeypatch.setattr(verify, "expand_vertex_graph", no_expansion)
-    with pytest.raises(CapacityError, match="6 vertices exceeds"):
-        compute(METHOD_BRUTE, cg, ORD, brute_limit=5)
-    # 65 vertices is within a limit of 100 but over the brute-force ceiling
-    with pytest.raises(CapacityError, match=r"2\^65 vertex subsets"):
-        compute(METHOD_BRUTE, build_class_graph(90), ORD, brute_limit=100)
+    # n = 82 has 41 vertices, the fewest over the limit.
+    with pytest.raises(CapacityError, match="^41 vertices exceeds the "
+                                            "brute-force limit of 40$"):
+        compute(METHOD_BRUTE, build_class_graph(82), ORD)
+    monkeypatch.setattr(dc, "BRUTE_CEILING", 5)
+    with pytest.raises(CapacityError, match="^6 vertices exceeds the "
+                                            "brute-force limit of 5$"):
+        compute(METHOD_BRUTE, cg, ORD)
 
 
 def test_closed_form_refused_over_vertex_limit(monkeypatch):
@@ -161,6 +168,27 @@ def test_each_kind_is_walked_once(monkeypatch, n, kind, limits, gammas,
     assert walked == [n]
     assert (rep.gamma, rep.gamma_total) == gammas
     assert rep.outcomes[METHOD_CLASSES].skipped == skipped
+
+
+def test_brute_runs_up_to_its_limit():
+    """n = 75 (34 vertices) is the first p^2q modulus that meets the
+    formula's hypothesis, and brute force confirms the engine against the
+    formula's overcount; n = 82 has 41 vertices, the fewest over the
+    limit."""
+    rep = run_verification(75, ORD)
+    assert rep.status == STATUS_MISMATCH
+    assert rep.compared == METHODS
+    assert {(d.degree, d.method): d.coefficient
+            for d in rep.disagreements} == {
+        (9, METHOD_BRUTE): 17002206,
+        (9, METHOD_CLASSES): 17002206,
+        (9, METHOD_CLOSED): 17002208,
+    }
+
+    rep = run_verification(82, ORD)
+    assert rep.outcomes[METHOD_BRUTE].skipped == (
+        "41 vertices exceeds the brute-force limit of 40")
+    assert rep.compared == (METHOD_CLASSES, METHOD_CLOSED)
 
 
 def test_mismatch_lists_every_running_method():
@@ -239,6 +267,9 @@ def test_sweep_never_crashes():
                 assert not rep.disagreements
             if rep.status == STATUS_ALL_AGREE:
                 assert rep.compared == METHODS
+            if METHOD_BRUTE in rep.compared:
+                assert (rep.outcomes[METHOD_BRUTE].polynomial
+                        == rep.outcomes[METHOD_CLASSES].polynomial), (n, kind)
 
 
 def test_rejects_n_below_two():
