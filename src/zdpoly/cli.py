@@ -22,8 +22,8 @@ import json
 import signal
 import sys
 
-from .domcount import (BRUTE_CEILING, DominationKind, class_engine_count,
-                       engine_terms, gamma_from_poly, terms_gamma)
+from .domcount import (BRUTE_CEILING, DominationKind, engine_terms,
+                       gamma_from_poly, terms_count, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family, factorize
 from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
@@ -141,15 +141,13 @@ def cmd_table(args) -> int:
         if cg.vertex_count == 0:
             continue
         try:  # D first: its refusal is noted where both kinds are refused
-            (gamma, d_count), (gamma_total, dt_count) = (
-                class_engine_count(cg, k) if k is kind
-                else (terms_gamma(cg, engine_terms(cg, k)), None)
-                for k in DominationKind)
+            terms = {k: engine_terms(cg, k) for k in DominationKind}
         except CapacityError as exc:
             _note_capacity(exc)
             status = EXIT_CAPACITY
             continue
-        count = dt_count if kind is DominationKind.TOTAL else d_count
+        gamma, gamma_total = (terms_gamma(cg, t) for t in terms.values())
+        count = terms_count(terms[kind])
         family = classify_family(factorize(n)).label
         if args.json:
             rows.append({

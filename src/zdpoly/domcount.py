@@ -85,8 +85,8 @@ negative count, gamma is the least positive shift + |gens| over the keys,
 since every term's lowest coefficient is then positive and no coefficient is
 negative.  D_t's negative count, at n = p^alpha, takes all of the x
 coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).
-``class_engine_count`` adds D(1), the sum of count * 2^free * prod(2^m - 1).
-So ``gamma`` and ``table`` only walk the up-sets, ``verify`` once per kind.
+``terms_count`` reads D(1), the sum of count * 2^free * prod(2^m - 1).
+So each command walks a kind's up-sets once and reads its table.
 
 The band reference in ``tests/band_reference.py`` enumerates per-class
 occupancy bands outright and shares no code with this engine.
@@ -104,14 +104,13 @@ from .numtheory import factorize
 from .polyring import Polynomial, binomial_expand
 from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
-# Most up-sets (antichains of proper divisors) the class engine enumerates
-# for D, in class_engine_poly and class_engine_count alike.  On a 2-core
-# Xeon with Python 3.11 a visit costs about 3 us when its term is kept
-# (n = 5040: 307 958 up-sets in 0.9 s; 10080: 1 301 608 in 4.3 s) and less
-# when it drops.  A rank level of w divisors means at least 2^w up-sets,
-# which refuses n = 27720 (w = 22) and 720720 (w = 46) before the walk;
-# n = 15120 (w = 15, 5.16 M up-sets) is refused while counting, after
-# 1.5-2 s.
+# Most up-sets (antichains of proper divisors) engine_terms enumerates for
+# D, whichever reader takes its table.  On a 2-core Xeon with Python 3.11 a
+# visit costs about 3 us when its term is kept (n = 5040: 307 958 up-sets
+# in 0.9 s; 10080: 1 301 608 in 4.3 s) and less when it drops.  A rank
+# level of w divisors means at least 2^w up-sets, which refuses n = 27720
+# (w = 22) and 720720 (w = 46) before the walk; n = 15120 (w = 15, 5.16 M
+# up-sets) is refused while counting, after 1.5-2 s.
 ENGINE_UPSET_LIMIT = 1_500_000
 
 # Most work sum_terms takes on to sum the binomial rows, for the class
@@ -324,18 +323,15 @@ def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
     return sum_rows(rows, nv)
 
 
-def class_engine_count(cg: ClassGraph,
-                       kind: DominationKind) -> tuple[int | None, int]:
-    """(gamma, count) of ``cg``: ``gamma_from_poly`` and the value at 1 of
-    ``class_engine_poly(cg, kind)``, read from one walk's ``engine_terms``
-    table.  Raises CapacityError as ``engine_terms`` does."""
-    terms = engine_terms(cg, kind)
+def terms_count(terms: dict) -> int:
+    """The value at 1 of the sum of ``terms``, an ``engine_terms`` table:
+    the sum of count * 2^free * prod(2^m - 1) over its keys."""
     count = 0
     for (_, free, gens), c in terms.items():
         for m in gens:
             c *= (1 << m) - 1
         count += c << free
-    return terms_gamma(cg, terms), count
+    return count
 
 
 def terms_gamma(cg: ClassGraph, terms: dict) -> int | None:

@@ -13,9 +13,9 @@ from band_reference import (Band, band_occupies, band_weight, bands_for_size,
 import zdpoly.domcount as dc
 from zdpoly import polyring
 from zdpoly.domcount import (DominationKind, brute_force_poly,
-                             check_brute_size, class_engine_count,
-                             class_engine_poly, gamma_from_poly,
-                             resolve_brute_limit)
+                             check_brute_size, class_engine_poly,
+                             engine_terms, gamma_from_poly,
+                             resolve_brute_limit, terms_count, terms_gamma)
 from zdpoly.errors import CapacityError
 from zdpoly.numtheory import factorize
 from zdpoly.polyring import Polynomial, binomial_expand
@@ -272,7 +272,7 @@ def test_engine_class_capacity(monkeypatch):
         mp.setattr(dc, "_upset_terms", no_walk)
         for n, widest in ((27720, 22), (720720, 46)):
             cg = build_class_graph(n)
-            for engine in (class_engine_poly, class_engine_count):
+            for engine in (class_engine_poly, engine_terms):
                 with pytest.raises(CapacityError) as err:
                     engine(cg, ORD)
                 assert str(err.value) == (
@@ -284,7 +284,7 @@ def test_engine_class_capacity(monkeypatch):
         # vertices refuse D before the walk.
         for n, kind, nv in ((720720, TOT, 582479), (100800, ORD, 77759)):
             cg = build_class_graph(n)
-            for engine in (class_engine_poly, class_engine_count):
+            for engine in (class_engine_poly, engine_terms):
                 with pytest.raises(CapacityError) as err:
                     engine(cg, kind)
                 assert str(err.value) == (
@@ -294,7 +294,7 @@ def test_engine_class_capacity(monkeypatch):
     # (2^11 = 2 048 up-sets at least) and it has 59 540 up-sets.
     monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", 10_000)
     with pytest.raises(CapacityError) as err:
-        class_engine_count(build_class_graph(2520), ORD)
+        engine_terms(build_class_graph(2520), ORD)
     assert str(err.value) == (
         "counting up-sets of divisor classes for n=2520 reached 10001, over "
         "the class-engine up-set limit of 10000")
@@ -369,8 +369,9 @@ def test_horner_sum_picks_its_representation(monkeypatch, n, used, unused):
     cg = build_class_graph(n)
     poly = class_engine_poly(cg, ORD)
     assert calls == {used: 1}
-    assert (gamma_from_poly(poly), sum(poly.coeffs)) == class_engine_count(
-        cg, ORD)
+    terms = engine_terms(cg, ORD)
+    assert gamma_from_poly(poly) == terms_gamma(cg, terms)
+    assert sum(poly.coeffs) == terms_count(terms)
 
 
 def _no_window(*args):
@@ -596,7 +597,9 @@ def test_engine_count_reads_the_polynomial():
         cg = build_class_graph(n)
         for kind in (ORD, TOT):
             p = _engine_poly(n, kind)
-            assert class_engine_count(cg, kind) == (gamma_from_poly(p), p(1)), (n, kind)
+            terms = engine_terms(cg, kind)
+            assert terms_gamma(cg, terms) == gamma_from_poly(p), (n, kind)
+            assert terms_count(terms) == p(1), (n, kind)
 
 
 @pytest.mark.parametrize("n, ordinary, total", [
@@ -613,12 +616,13 @@ def test_engine_count_reads_the_polynomial():
 ])
 def test_engine_count_edge_cases(n, ordinary, total):
     cg = build_class_graph(n)
-    assert class_engine_count(cg, ORD) == ordinary
-    assert class_engine_count(cg, TOT) == total
+    for kind, expected in ((ORD, ordinary), (TOT, total)):
+        terms = engine_terms(cg, kind)
+        assert (terms_gamma(cg, terms), terms_count(terms)) == expected
 
 
 def test_engine_counts_are_signed_only_at_the_prime_power_x():
-    """class_engine_count reads gamma as the least positive shift + |gens|,
+    """terms_gamma reads gamma as the least positive shift + |gens|,
     which holds only with no negative count.  Below 1200, every count of
     D's up-set keys is positive, and D_t's table has a negative count only
     at (1, 0, ()), the -(p-1)x of n = p^alpha, alpha >= 2, and there."""

@@ -6,8 +6,8 @@ import json
 import pytest
 
 import zdpoly.domcount as dc
-from zdpoly import closedform, verify
-from zdpoly.domcount import DominationKind, class_engine_count
+from zdpoly import cli, closedform, verify
+from zdpoly.domcount import DominationKind, engine_terms, terms_gamma
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial
 from zdpoly.verify import (METHOD_BRUTE, METHOD_CLASSES, METHOD_CLOSED,
@@ -131,8 +131,8 @@ def test_gamma_read_from_the_keys_when_the_polynomial_is_refused(monkeypatch):
     rep = run_verification(360, ORD)
     assert rep.outcomes[METHOD_CLASSES].polynomial is None
     cg = build_class_graph(360)
-    assert rep.gamma == class_engine_count(cg, ORD)[0] == 3
-    assert rep.gamma_total == class_engine_count(cg, TOT)[0]
+    assert rep.gamma == terms_gamma(cg, engine_terms(cg, ORD)) == 3
+    assert rep.gamma_total == terms_gamma(cg, engine_terms(cg, TOT))
 
 
 _UPSETS_REFUSED = ("counting up-sets of divisor classes for n=2520 reached "
@@ -254,10 +254,28 @@ def test_format_report_text():
     assert "gamma=undef gamma_total=undef" in text
 
 
-def test_sweep_never_crashes():
+def _printed_gammas(capsys, *argv):
+    """(gamma, gamma_total) of each JSON record ``zdpoly argv --json``
+    prints: one for ``gamma``, one per row for ``table``."""
+    assert cli.main([*argv, "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    return [(r["gamma"], r["gamma_total"])
+            for r in (printed if isinstance(printed, list) else [printed])]
+
+
+def test_sweep_never_crashes(capsys):
+    """Every report is well formed, brute force agrees with the engine
+    wherever it runs, and the report's gammas are what ``gamma`` and
+    ``table`` print; ``table`` prints no row for a prime."""
     for n in range(2, 121):
+        gammas = _printed_gammas(capsys, "gamma", str(n))
+        rows = gammas if build_class_graph(n).vertex_count else []
         for kind in (ORD, TOT):
             rep = run_verification(n, kind)
+            assert [(rep.gamma, rep.gamma_total)] == gammas, (n, kind)
+            total = ["--total"] if kind is TOT else []
+            assert _printed_gammas(capsys, "table", str(n), str(n),
+                                   *total) == rows, (n, kind)
             assert rep.status in (STATUS_ALL_AGREE, STATUS_PARTIAL,
                                   STATUS_MISMATCH)
             assert rep.outcomes[METHOD_CLASSES].polynomial is not None
