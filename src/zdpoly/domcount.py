@@ -3,16 +3,14 @@
 ``brute_force_poly`` enumerates all 2^|V| vertex subsets of an expanded graph
 and histograms the dominating ones by size — slow but unarguable, so it serves
 as the ground truth for everything else.  It reads only the ``VertexGraph``.
-It splits the vertices into three runs, low, block and outer.  The subsets
-of the low and block runs are the bit positions of Python-int bitsets, so
-one bitwise operation tests up to 2^14 of them at once, and only the at
-most 2^10 outer subsets are looped over.  For each outer subset it splits
-the block subsets by the groups (vertices with one neighbourhood within
-low) they leave with an uncovered member; a low subset completes such a
-pair exactly when it covers a member of each of those groups, so the size
-histogram of the completing low subsets is computed once per distinct set
-of groups.  Since one bitwise operation tests thousands of subsets, a call
-for D takes about 2 ms at 26 vertices and at most 0.3 s up to 40, its limit.
+It splits the vertices into two runs, low and block, and the subsets of
+each run are the bit positions of a Python-int bitset, so one bitwise
+operation tests up to 2^20 of them at once.  The block subsets are split
+by the groups (vertices with one neighbourhood within low) they leave with
+an uncovered vertex; a low subset completes such a block subset exactly
+when it covers a vertex of each of those groups, so each part pairs its
+block-size histogram with one low-size histogram.  A call for D takes
+about 1 ms at 26 vertices and at most 50 ms up to 40, its limit.
 
 ``class_engine_poly`` works on the divisor classes instead.  Class d (the
 vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e,
@@ -94,7 +92,6 @@ occupancy bands outright and shares no code with this engine.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from itertools import chain
 from operator import add, getitem
@@ -124,10 +121,11 @@ ENGINE_UPSET_LIMIT = 1_500_000
 ENGINE_WORK_LIMIT = 30_000_000
 
 # The brute-force limit: most vertices brute force takes.  Per kind, D and
-# D_t, on a 2-core Xeon with Python 3.11: 1.6 and 0.9 ms at 26 vertices
-# (n = 63), 81 and 41 ms at 34 (n = 75), 0.16 and 0.08 s at 40 (n = 185),
-# and at most 0.3 and 0.15 s, at 38 and 39 (n = 99 and 76).  Past 36
-# vertices each further vertex doubles the low bitsets, 2^16 bits at 40.
+# D_t, on a 2-core Xeon with Python 3.11: 0.6-1.0 and 0.4-0.6 ms at 26
+# vertices (n = 63), 21-27 and 15-19 ms at 34 (n = 75), 28-32 and 18-23 ms
+# at 40 (n = 185), and at most 30-50 and 20-25 ms (n = 54 or 99, and
+# 1681).  Past 32 vertices each further vertex doubles the low bitsets,
+# 2^20 bits at 40.
 BRUTE_CEILING = 40
 
 # Widest slot, in bits, at which _horner_sum runs on one packed integer
@@ -142,17 +140,17 @@ BRUTE_CEILING = 40
 _PACKED_SLOT_BITS = 480
 
 # How brute force splits the vertices (see brute_force_poly): the subsets
-# of the low and the block vertices are the bit positions of bitsets, and
-# it loops over the subsets of the outer rest in Python.  Low takes at
-# least _BRUTE_LOW_BITS vertices and whatever the block and
-# _BRUTE_OUTER_BITS outer vertices leave, so the loop has at most 2^10
-# steps.  A fixed low run of 16 made brute force on the benchmark's graphs
-# of up to 26 vertices 2.6 times slower in all (one histogram per key over
-# 2^16 bits), and a fixed 12 took 1.7-2.1 s for D at 40 vertices (2^14
-# loop steps) against 0.14 s with the low run grown to 16.
+# of the low and of the block vertices are the bit positions of bitsets.
+# Low takes at least _BRUTE_LOW_BITS vertices and whatever a block of
+# _BRUTE_BLOCK_BITS leaves, so low is 12 up to 32 vertices and 20 at 40.
+# A fixed low run of 16 made brute force on the benchmark's graphs of up
+# to 26 vertices 2.6 times slower in all (one histogram per key over 2^16
+# bits).  Over the 38 moduli with 27-40 vertices, both kinds (2-core Xeon,
+# Python 3.11), blocks of 16 / 18 / 20 / 22 bits took 5.0 / 0.9 / 0.7 /
+# 2.6 s in all and peaked at 111 / 28 / 14 / 49 MB traced: narrower
+# blocks leave wider low bitsets, one per group and per size.
 _BRUTE_LOW_BITS = 12
-_BRUTE_BLOCK_BITS = 14
-_BRUTE_OUTER_BITS = 10
+_BRUTE_BLOCK_BITS = 20
 
 
 class DominationKind(Enum):
@@ -192,33 +190,31 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     """Count dominating sets (or total dominating sets) of every size by
     direct enumeration of all vertex subsets.
 
-    The vertices split into three runs: low (the first _BRUTE_LOW_BITS, or
-    more when the outer run would pass _BRUTE_OUTER_BITS), block (the next
-    _BRUTE_BLOCK_BITS) and outer (the rest).  Low and block subsets are bit
-    positions of Python-int bitsets; outer subsets are looped over, each
-    covered set one OR from a smaller subset's.  Neighbourhoods are
-    symmetric, so a subset S of a run covers vertex v when it meets
-    N(v) ∩ run, and ``_meet_masks`` gives, for each vertex, the bitset of
-    the run's subsets that cover it.
+    The vertices split into two runs: low (the first _BRUTE_LOW_BITS, or
+    more when block would pass _BRUTE_BLOCK_BITS) and block (the rest).
+    Subsets of each run are bit positions of Python-int bitsets.
+    Neighbourhoods are symmetric, so a subset S of a run covers vertex v
+    when it meets N(v) ∩ run, and ``_meet_masks`` gives, for each vertex,
+    the bitset of the run's subsets that cover it.
 
     Vertices are grouped by their low neighbourhood, since the low subsets
-    that cover one member cover them all.  For an outer subset O, the block
-    subsets A are split by their key: the groups with a member that neither
-    O nor A covers.  Group g stays uncovered exactly for the A outside the
-    AND of the cover bitsets of its members that O leaves uncovered.  Each
-    part is counted by |A| with one popcount per size, and the counts are
-    tallied by (key, |A| + |O|).  S completes A ∪ O to a dominating set
-    exactly when it covers a member of each group in the key, so one AND
-    chain and one popcount per size of the low bitsets give each key's size
-    histogram, added shifted and times the tally.
+    that cover one vertex of a group cover them all.  The block subsets A
+    are split by their key: the groups with a vertex that A leaves
+    uncovered.  A covers group g when it is in the AND of the cover bitsets
+    of g's vertices; a group with no low neighbour must be covered so, and
+    the other A are dropped.  S completes A to a dominating set exactly
+    when it covers a vertex of each group in the key, so one AND chain and
+    one popcount per size of the low bitsets give each key's low-size
+    histogram, and one popcount per block size the sizes of its part;
+    their product is added to the counts.
 
-    Cost is at most 2^_BRUTE_OUTER_BITS outer subsets, each one AND of
-    2^block bits per member of a group it leaves uncovered and, for each
-    part, one AND and popcount per block size; then, per distinct key, an
-    AND chain and one popcount per low size over 2^low bits.  The tables
-    are a bitset of 2^low bits per group and per low size and one of
-    2^block bits per vertex and per block size, about 0.4 MB at 40
-    vertices.  Refuses graphs above ``resolve_brute_limit(limit)`` vertices.
+    Cost is one AND of 2^block bits per vertex and one AND and one XOR per
+    part and per group, then per key an AND chain and a popcount per size
+    over 2^low bits and an AND and popcount per size over 2^block bits.
+    The tables are a bitset of 2^low bits per group and per low size and
+    one of 2^block bits per vertex and per block size; the traced peak is
+    about 14 MB at 40 vertices.  Refuses graphs above
+    ``resolve_brute_limit(limit)`` vertices.
     """
     nv = len(vg.labels)
     check_brute_size(nv, limit)
@@ -226,61 +222,43 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
         nbh = list(vg.closed)
     else:
         nbh = [c & ~(1 << u) for u, c in enumerate(vg.closed)]
-    low = min(nv, max(_BRUTE_LOW_BITS,
-                      nv - _BRUTE_BLOCK_BITS - _BRUTE_OUTER_BITS))
-    block = min(nv - low, _BRUTE_BLOCK_BITS)
+    low = min(nv, max(_BRUTE_LOW_BITS, nv - _BRUTE_BLOCK_BITS))
+    block = nv - low
     low_mask = (1 << low) - 1
     groups = {}  # low neighbourhood -> bitmask of the vertices that have it
     for v in range(nv):
         low_nbh = nbh[v] & low_mask
         groups[low_nbh] = groups.get(low_nbh, 0) | 1 << v
     hit, sized = _meet_masks(groups, low)
-    block_mask = (1 << block) - 1
-    covers, block_sized = _meet_masks(
-        [c >> low & block_mask for c in nbh], block)
-    members = [(vertices, [v for v in range(nv) if vertices >> v & 1])
-               for vertices in groups.values()]
+    covers, block_sized = _meet_masks([c >> low for c in nbh], block)
     every = (1 << (1 << block)) - 1
-    outer_covered, outer_size = [0], [0]
-    for c in nbh[low + block:]:
-        outer_covered += [covered | c for covered in outer_covered]
-        outer_size += [size + 1 for size in outer_size]
-    tally = Counter()  # (key, |A| + |O|) -> number of pairs (A, O)
-    for covered, size in zip(outer_covered, outer_size):
-        parts = {0: every}  # key -> bitset of the block subsets with it
-        for g, (vertices, vertex_list) in enumerate(members):
-            if not vertices & ~covered:
-                continue
-            met = every
-            for v in vertex_list:
-                if not covered >> v & 1:
-                    met &= covers[v]
-            split = {}
-            for key, part in parts.items():
-                if part & met:
-                    split[key] = part & met
-                if part & ~met:
-                    split[key | 1 << g] = part & ~met
-            parts = split
+    parts = {0: every}  # key -> bitset of the block subsets with it
+    for g, (low_nbh, vertices) in enumerate(groups.items()):
+        met = every
+        for v in range(nv):
+            if vertices >> v & 1:
+                met &= covers[v]
+        split = {}
         for key, part in parts.items():
-            for s, mask in enumerate(block_sized, size):
-                c = (part & mask).bit_count()
-                if c:
-                    tally[key, s] += c
+            inside = part & met
+            if inside:
+                split[key] = inside
+            if low_nbh and inside != part:
+                split[key | 1 << g] = part ^ inside
+        parts = split
     full = (1 << (1 << low)) - 1
     counts = [0] * (nv + 1)
-    histograms = {}
-    for (key, size), multiplicity in tally.items():
-        histogram = histograms.get(key)
-        if histogram is None:
-            dominated = full
-            for g, low_hit in enumerate(hit):
-                if key >> g & 1:
-                    dominated &= low_hit
-            histogram = [(dominated & mask).bit_count() for mask in sized]
-            histograms[key] = histogram
-        for s, c in enumerate(histogram, size):
-            counts[s] += c * multiplicity
+    for key, part in parts.items():
+        dominated = full
+        for g, low_hit in enumerate(hit):
+            if key >> g & 1:
+                dominated &= low_hit
+        histogram = [(dominated & mask).bit_count() for mask in sized]
+        for a, mask in enumerate(block_sized):
+            multiplicity = (part & mask).bit_count()
+            if multiplicity:
+                for s, c in enumerate(histogram, a):
+                    counts[s] += c * multiplicity
     return Polynomial(counts)
 
 

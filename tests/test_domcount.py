@@ -1,6 +1,7 @@
 """Counting engines: brute force, band semantics, and the class engine."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -94,12 +95,28 @@ def test_engine_matches_band_reference():
 
 def test_engine_matches_brute_small():
     # Every modulus brute force takes: |V| <= 40 holds for no n > 41^2.
-    # Past 26 vertices the outer loop runs, and past 36 the low run grows.
+    # Past 26 vertices the block run grows, and past 32 the low run grows.
     for n, cg in composite_class_graphs(4, 41 * 41, max_vertices=40):
         vg = expand_vertex_graph(cg)
         for kind in (ORD, TOT):
             assert (brute_force_poly(vg, kind, limit=40)
                     == class_engine_poly(cg, kind)), (n, kind)
+
+
+@pytest.mark.parametrize("n", [54, 185])
+def test_brute_memory_at_the_ceiling(n):
+    """n = 54 (35 vertices) and n = 185 (40) hold some of brute force's
+    largest tables, 12 and 14 MB for D.  A 16-bit block run took n = 185 to
+    111 MB, and a 22-bit one took n = 54 to 49 MB and n = 185 to 38 MB."""
+    vg = expand_vertex_graph(build_class_graph(n))
+    for kind in (ORD, TOT):
+        tracemalloc.start()
+        try:
+            brute_force_poly(vg, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, (n, kind, peak)
 
 
 def test_empty_graph_counts_one_empty_set():
@@ -169,33 +186,32 @@ def vertex_graphs(draw):
     return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
 
 
-# Brute-force splits (low, block, outer bits) the property tests run; the
-# id is the low bits alone when the others are the defaults.  With 3 and 2
-# the outer loop runs for graphs over 5 vertices, and with outer 3 the low
-# run grows past its least size for graphs over 7.
+# Brute-force splits (low, block bits) the property tests run; the id is
+# the low bits alone when the block bits are the default.  With 3 and 2 the
+# low run grows past 3 for graphs over 5 vertices, and with 0 and 3 there
+# is no least low run.
 SPLITS = [
     pytest.param(dc._BRUTE_LOW_BITS, dc._BRUTE_BLOCK_BITS,
-                 dc._BRUTE_OUTER_BITS, id=str(dc._BRUTE_LOW_BITS)),
-    pytest.param(3, dc._BRUTE_BLOCK_BITS, dc._BRUTE_OUTER_BITS, id="3"),
-    pytest.param(3, 2, dc._BRUTE_OUTER_BITS, id="3-2"),
-    pytest.param(2, 2, 3, id="2-2-3"),
+                 id=str(dc._BRUTE_LOW_BITS)),
+    pytest.param(3, dc._BRUTE_BLOCK_BITS, id="3"),
+    pytest.param(3, 2, id="3-2"),
+    pytest.param(0, 3, id="0-3"),
 ]
 
 
-def _brute_matches_plain_count(vg, low_bits, block_bits, outer_bits):
+def _brute_matches_plain_count(vg, low_bits, block_bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dc, "_BRUTE_LOW_BITS", low_bits)
         mp.setattr(dc, "_BRUTE_BLOCK_BITS", block_bits)
-        mp.setattr(dc, "_BRUTE_OUTER_BITS", outer_bits)
         for kind in (ORD, TOT):
             assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
 
 
-@pytest.mark.parametrize("low_bits, block_bits, outer_bits", SPLITS)
+@pytest.mark.parametrize("low_bits, block_bits", SPLITS)
 @settings(max_examples=60, deadline=None)
 @given(vg=vertex_graphs())
-def test_brute_matches_plain_count(vg, low_bits, block_bits, outer_bits):
-    _brute_matches_plain_count(vg, low_bits, block_bits, outer_bits)
+def test_brute_matches_plain_count(vg, low_bits, block_bits):
+    _brute_matches_plain_count(vg, low_bits, block_bits)
 
 
 @st.composite
@@ -223,15 +239,14 @@ def twin_graphs(draw):
     return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
 
 
-@pytest.mark.parametrize("low_bits, block_bits, outer_bits", SPLITS)
+@pytest.mark.parametrize("low_bits, block_bits", SPLITS)
 @settings(max_examples=60, deadline=None)
 @given(vg=twin_graphs())
-def test_brute_matches_plain_count_on_twins(vg, low_bits, block_bits,
-                                            outer_bits):
+def test_brute_matches_plain_count_on_twins(vg, low_bits, block_bits):
     """Twins of one class often share their low neighbourhood, so one group
-    holds vertices of several runs, and many block and outer subsets pose
-    the same constraint on the low subsets."""
-    _brute_matches_plain_count(vg, low_bits, block_bits, outer_bits)
+    holds vertices of both runs, and many block subsets pose the same
+    constraint on the low subsets."""
+    _brute_matches_plain_count(vg, low_bits, block_bits)
 
 
 def test_brute_ignores_limit_variable(monkeypatch):
