@@ -3,14 +3,15 @@
 ``brute_force_poly`` enumerates all 2^|V| vertex subsets of an expanded graph
 and histograms the dominating ones by size — slow but unarguable, so it serves
 as the ground truth for everything else.  It reads only the ``VertexGraph``.
-It splits the vertices into two runs, low and block, and the subsets of
-each run are the bit positions of a Python-int bitset, so one bitwise
-operation tests up to 2^20 of them at once.  The block subsets are split
-by the groups (vertices with one neighbourhood within low) they leave with
-an uncovered vertex; a low subset completes such a block subset exactly
-when it covers a vertex of each of those groups, so each part pairs its
+It counts the subsets that meet every distinct neighbourhood.  It splits
+the vertices in half, low and block, and the subsets of each run are the
+bit positions of a Python-int bitset, so one bitwise operation tests up to
+2^20 of them at once.  The neighbourhoods are grouped by their low part,
+and the block subsets are split by the groups whose block parts they do
+not all meet; a low subset completes such a block subset exactly when it
+meets the low part of each of those groups, so each part pairs its
 block-size histogram with one low-size histogram.  A call for D takes
-about 1 ms at 26 vertices and at most 50 ms up to 40, its limit.
+about 1 ms at 26 vertices and at most 35-65 ms up to 40, its limit.
 
 ``class_engine_poly`` works on the divisor classes instead.  Class d (the
 vertices v with gcd(v, n) = d) is joined to class e exactly when n | d*e,
@@ -121,11 +122,12 @@ ENGINE_UPSET_LIMIT = 1_500_000
 ENGINE_WORK_LIMIT = 30_000_000
 
 # The brute-force limit: most vertices brute force takes.  Per kind, D and
-# D_t, on a 2-core Xeon with Python 3.11: 0.6-1.0 and 0.4-0.6 ms at 26
-# vertices (n = 63), 21-27 and 15-19 ms at 34 (n = 75), 28-32 and 18-23 ms
-# at 40 (n = 185), and at most 30-50 and 20-25 ms (n = 54 or 99, and
-# 1681).  Past 32 vertices each further vertex doubles the low bitsets,
-# 2^20 bits at 40.
+# D_t, on a shared 2-core Xeon with Python 3.11 (best of five calls, over
+# seven runs whose speed varied twofold): 0.6-1.1 and 0.3-0.6 ms at 26
+# vertices (n = 63), 5-10 and 2.5-5.5 ms at 34 (n = 75), 25-50 and 14-28 ms
+# at 40 (n = 185), and at most 33-63 and 18-33 ms (n = 76 or 99; 76, 99,
+# 185 or 1681).  Each further vertex doubles the bitsets of one run, 2^20
+# bits each at 40.
 BRUTE_CEILING = 40
 
 # Widest slot, in bits, at which _horner_sum runs on one packed integer
@@ -138,20 +140,6 @@ BRUTE_CEILING = 40
 # at 488 bits took 1.17 times the list's time, 780 at 592 bits 1.31), and
 # past 640 bits 38 of 53 tables lose, 1260 at 976 bits by 2.9 times.
 _PACKED_SLOT_BITS = 480
-
-# How brute force splits the vertices (see brute_force_poly): the subsets
-# of the low and of the block vertices are the bit positions of bitsets.
-# Low takes at least _BRUTE_LOW_BITS vertices and whatever a block of
-# _BRUTE_BLOCK_BITS leaves, so low is 12 up to 32 vertices and 20 at 40.
-# A fixed low run of 16 made brute force on the benchmark's graphs of up
-# to 26 vertices 2.6 times slower in all (one histogram per key over 2^16
-# bits).  Over the 38 moduli with 27-40 vertices, both kinds (2-core Xeon,
-# Python 3.11), blocks of 16 / 18 / 20 / 22 bits took 5.0 / 0.9 / 0.7 /
-# 2.6 s in all and peaked at 111 / 28 / 14 / 49 MB traced: narrower
-# blocks leave wider low bitsets, one per group and per size.
-_BRUTE_LOW_BITS = 12
-_BRUTE_BLOCK_BITS = 20
-
 
 class DominationKind(Enum):
     ORDINARY = "D"
@@ -190,70 +178,66 @@ def brute_force_poly(vg: VertexGraph, kind: DominationKind,
     """Count dominating sets (or total dominating sets) of every size by
     direct enumeration of all vertex subsets.
 
-    The vertices split into two runs: low (the first _BRUTE_LOW_BITS, or
-    more when block would pass _BRUTE_BLOCK_BITS) and block (the rest).
-    Subsets of each run are bit positions of Python-int bitsets.
-    Neighbourhoods are symmetric, so a subset S of a run covers vertex v
-    when it meets N(v) ∩ run, and ``_meet_masks`` gives, for each vertex,
-    the bitset of the run's subsets that cover it.
+    A set dominates when it meets every closed neighbourhood (every open
+    one for D_t), so twins pose one constraint and only the distinct
+    neighbourhoods are counted.  The vertices split in half: low, the
+    first (|V| + 1) // 2, and block, the rest; the subsets of each run
+    are the bit positions of Python-int bitsets, and ``_meet_masks`` gives
+    the bitset of a run's subsets that meet a part of a neighbourhood.
 
-    Vertices are grouped by their low neighbourhood, since the low subsets
-    that cover one vertex of a group cover them all.  The block subsets A
-    are split by their key: the groups with a vertex that A leaves
-    uncovered.  A covers group g when it is in the AND of the cover bitsets
-    of g's vertices; a group with no low neighbour must be covered so, and
-    the other A are dropped.  S completes A to a dominating set exactly
-    when it covers a vertex of each group in the key, so one AND chain and
-    one popcount per size of the low bitsets give each key's low-size
-    histogram, and one popcount per block size the sizes of its part;
-    their product is added to the counts.
+    The neighbourhoods are grouped by their low part.  A block subset A
+    meets every block part of a group when it is in ``met``, the AND of
+    their cover bitsets; otherwise a low subset S must meet the group's
+    low part.  ``parts`` pairs a bitset of block subsets with
+    ``completing``, the bitset of the low subsets that complete each of
+    them for the groups so far.  Each group splits each pair: the block
+    subsets in ``met`` keep its ``completing``, and the rest take
+    ``completing`` & the group's low cover, dropped when that is empty.
+    Then S and A together dominate exactly when S is in the ``completing``
+    of A's pair, so each pair adds its low-size histogram (a popcount per
+    low size) times its block-size popcounts to the counts.
 
-    Cost is one AND of 2^block bits per vertex and one AND and one XOR per
-    part and per group, then per key an AND chain and a popcount per size
-    over 2^low bits and an AND and popcount per size over 2^block bits.
-    The tables are a bitset of 2^low bits per group and per low size and
-    one of 2^block bits per vertex and per block size; the traced peak is
-    about 14 MB at 40 vertices.  Refuses graphs above
+    Cost is, per group, an AND of 2^block bits per block part, and per
+    pair an AND of 2^block bits and, when the pair splits, an AND of
+    2^low bits and a XOR; then per pair a popcount per size of each run.  The tables are a
+    bitset of 2^low bits per group and per low size and one of 2^block
+    bits per distinct block part and per block size; the traced peak is
+    about 13 MB at 40 vertices.  Refuses graphs above
     ``resolve_brute_limit(limit)`` vertices.
     """
     nv = len(vg.labels)
     check_brute_size(nv, limit)
     if kind is DominationKind.ORDINARY:
-        nbh = list(vg.closed)
+        nbh = set(vg.closed)
     else:
-        nbh = [c & ~(1 << u) for u, c in enumerate(vg.closed)]
-    low = min(nv, max(_BRUTE_LOW_BITS, nv - _BRUTE_BLOCK_BITS))
+        nbh = {c & ~(1 << u) for u, c in enumerate(vg.closed)}
+    low = (nv + 1) // 2
     block = nv - low
     low_mask = (1 << low) - 1
-    groups = {}  # low neighbourhood -> bitmask of the vertices that have it
-    for v in range(nv):
-        low_nbh = nbh[v] & low_mask
-        groups[low_nbh] = groups.get(low_nbh, 0) | 1 << v
-    hit, sized = _meet_masks(groups, low)
-    covers, block_sized = _meet_masks([c >> low for c in nbh], block)
+    groups = {}  # low part -> the block parts of the neighbourhoods with it
+    for c in nbh:
+        groups.setdefault(c & low_mask, set()).add(c >> low)
+    hit, sized = _meet_masks(list(groups), low)
+    block_parts = list({b for group in groups.values() for b in group})
+    masks, block_sized = _meet_masks(block_parts, block)
+    covers = dict(zip(block_parts, masks))
     every = (1 << (1 << block)) - 1
-    parts = {0: every}  # key -> bitset of the block subsets with it
-    for g, (low_nbh, vertices) in enumerate(groups.items()):
+    parts = [((1 << (1 << low)) - 1, every)]  # (completing, block subsets)
+    for low_hit, group in zip(hit, groups.values()):
         met = every
-        for v in range(nv):
-            if vertices >> v & 1:
-                met &= covers[v]
-        split = {}
-        for key, part in parts.items():
+        for b in group:
+            met &= covers[b]
+        split = []
+        for completing, part in parts:
             inside = part & met
             if inside:
-                split[key] = inside
-            if low_nbh and inside != part:
-                split[key | 1 << g] = part ^ inside
+                split.append((completing, inside))
+            if inside != part and (rest := completing & low_hit):
+                split.append((rest, part ^ inside))
         parts = split
-    full = (1 << (1 << low)) - 1
     counts = [0] * (nv + 1)
-    for key, part in parts.items():
-        dominated = full
-        for g, low_hit in enumerate(hit):
-            if key >> g & 1:
-                dominated &= low_hit
-        histogram = [(dominated & mask).bit_count() for mask in sized]
+    for completing, part in parts:
+        histogram = [(completing & mask).bit_count() for mask in sized]
         for a, mask in enumerate(block_sized):
             multiplicity = (part & mask).bit_count()
             if multiplicity:

@@ -113,25 +113,28 @@ def check_vertex_limit(cg: ClassGraph, what: str) -> None:
 def expand_vertex_graph(cg: ClassGraph) -> VertexGraph:
     """Materialize the vertex-level graph from its class form.
 
-    Refuses graphs larger than VERTEX_LIMIT vertices, since the result is
+    The labels are built from the classes, so the work grows with the
+    graph, not with n: a prime n, with no classes, takes none.  Refuses
+    graphs larger than VERTEX_LIMIT vertices, since the result is
     quadratic-ish in memory (one bitset per vertex).
     """
     check_vertex_limit(cg, "expansion")
     n = cg.n
-    labels = tuple(v for v in range(1, n) if gcd(v, n) > 1)
+    # Class d holds the d*u for the u < n/d coprime to n/d.
+    members = sorted((d * u, i) for i, (d, _) in enumerate(cg.classes)
+                     for u in range(1, n // d) if gcd(u, n // d) == 1)
+    labels = tuple(v for v, _ in members)
     # Bitset per class first, then one neighbourhood per class by ORing the
     # classes its mask names; this avoids the quadratic label-by-label test.
-    class_index = {c.divisor: i for i, c in enumerate(cg.classes)}
-    vertex_class = [class_index[gcd(v, n)] for v in labels]
     class_bits = [0] * len(cg.classes)
-    for i, ci in enumerate(vertex_class):
-        class_bits[ci] |= 1 << i
+    for v, (_, i) in enumerate(members):
+        class_bits[i] |= 1 << v
     # The class bitsets are disjoint, so their sum is their union.
     neighbor_bits = [
         sum(cb for j, cb in enumerate(class_bits) if mask >> j & 1)
         for mask in cg.neighbors]
-    closed = tuple(neighbor_bits[ci] | 1 << i
-                   for i, ci in enumerate(vertex_class))
+    closed = tuple(neighbor_bits[i] | 1 << v
+                   for v, (_, i) in enumerate(members))
     return VertexGraph(n=n, labels=labels, closed=closed)
 
 

@@ -95,7 +95,7 @@ def test_engine_matches_band_reference():
 
 def test_engine_matches_brute_small():
     # Every modulus brute force takes: |V| <= 40 holds for no n > 41^2.
-    # Past 26 vertices the block run grows, and past 32 the low run grows.
+    # Each run holds half the vertices, so both grow with |V|, to 20 at 40.
     for n, cg in composite_class_graphs(4, 41 * 41, max_vertices=40):
         vg = expand_vertex_graph(cg)
         for kind in (ORD, TOT):
@@ -105,9 +105,10 @@ def test_engine_matches_brute_small():
 
 @pytest.mark.parametrize("n", [54, 185])
 def test_brute_memory_at_the_ceiling(n):
-    """n = 54 (35 vertices) and n = 185 (40) hold some of brute force's
-    largest tables, 12 and 14 MB for D.  A 16-bit block run took n = 185 to
-    111 MB, and a 22-bit one took n = 54 to 49 MB and n = 185 to 38 MB."""
+    """With the vertices split in half, n = 185 (40 vertices) holds some
+    of brute force's largest tables, 13 MB for D, and n = 54 (35) holds
+    4 MB.  Moving two vertices from either run to the other took n = 185
+    to 30 MB, and a block run of 16 vertices took it to 124 MB."""
     vg = expand_vertex_graph(build_class_graph(n))
     for kind in (ORD, TOT):
         tracemalloc.start()
@@ -186,32 +187,15 @@ def vertex_graphs(draw):
     return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
 
 
-# Brute-force splits (low, block bits) the property tests run; the id is
-# the low bits alone when the block bits are the default.  With 3 and 2 the
-# low run grows past 3 for graphs over 5 vertices, and with 0 and 3 there
-# is no least low run.
-SPLITS = [
-    pytest.param(dc._BRUTE_LOW_BITS, dc._BRUTE_BLOCK_BITS,
-                 id=str(dc._BRUTE_LOW_BITS)),
-    pytest.param(3, dc._BRUTE_BLOCK_BITS, id="3"),
-    pytest.param(3, 2, id="3-2"),
-    pytest.param(0, 3, id="0-3"),
-]
+def _brute_matches_plain_count(vg):
+    for kind in (ORD, TOT):
+        assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
 
 
-def _brute_matches_plain_count(vg, low_bits, block_bits):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dc, "_BRUTE_LOW_BITS", low_bits)
-        mp.setattr(dc, "_BRUTE_BLOCK_BITS", block_bits)
-        for kind in (ORD, TOT):
-            assert brute_force_poly(vg, kind) == _plain_count(vg.closed, kind)
-
-
-@pytest.mark.parametrize("low_bits, block_bits", SPLITS)
 @settings(max_examples=60, deadline=None)
 @given(vg=vertex_graphs())
-def test_brute_matches_plain_count(vg, low_bits, block_bits):
-    _brute_matches_plain_count(vg, low_bits, block_bits)
+def test_brute_matches_plain_count(vg):
+    _brute_matches_plain_count(vg)
 
 
 @st.composite
@@ -239,14 +223,15 @@ def twin_graphs(draw):
     return VertexGraph(n=0, labels=tuple(range(nv)), closed=tuple(closed))
 
 
-@pytest.mark.parametrize("low_bits, block_bits", SPLITS)
 @settings(max_examples=60, deadline=None)
 @given(vg=twin_graphs())
-def test_brute_matches_plain_count_on_twins(vg, low_bits, block_bits):
-    """Twins of one class often share their low neighbourhood, so one group
-    holds vertices of both runs, and many block subsets pose the same
-    constraint on the low subsets."""
-    _brute_matches_plain_count(vg, low_bits, block_bits)
+def test_brute_matches_plain_count_on_twins(vg):
+    """Twins of a clique class share their closed neighbourhood and those
+    of an independent class their open one, so D or D_t counts one
+    constraint for them.  Distinct neighbourhoods often share their low
+    part, so one group holds several block parts, and many block subsets
+    pose the same constraint on the low subsets."""
+    _brute_matches_plain_count(vg)
 
 
 def test_brute_ignores_limit_variable(monkeypatch):

@@ -52,14 +52,20 @@ def test_clique_rule():
     assert cliques(cg16) == [False, True, True]
 
 
-def test_prime_gives_empty_graph():
-    cg = build_class_graph(13)
-    assert cg.classes == ()
-    assert cg.vertex_count == 0
-    assert edge_count(cg) == 0
-    vg = expand_vertex_graph(cg)
-    assert vg.labels == ()
-    assert edge_list(vg) == []
+def test_prime_gives_empty_graph(monkeypatch):
+    # Expansion works from the classes, so a prime takes no gcd at all,
+    # where a scan of the residues would take n - 1.
+    calls = []
+    monkeypatch.setattr(zdgraph, "gcd", lambda *a: calls.append(a) or gcd(*a))
+    for n in (13, 999983):
+        cg = build_class_graph(n)
+        assert cg.classes == ()
+        assert cg.vertex_count == 0
+        assert edge_count(cg) == 0
+        vg = expand_vertex_graph(cg)
+        assert vg.labels == ()
+        assert edge_list(vg) == []
+    assert calls == []
 
 
 def test_adjacency_matrix_invariants():
