@@ -25,7 +25,7 @@ import sys
 from .domcount import (BRUTE_CEILING, DominationKind, engine_terms,
                        gamma_from_poly, terms_count, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
-from .numtheory import classify_family, factorize
+from .numtheory import classify_family
 from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
                      format_report, report_to_dict, run_verification)
 from .zdgraph import (build_class_graph, edge_count, edge_list,
@@ -148,7 +148,7 @@ def cmd_table(args) -> int:
             continue
         gamma, gamma_total = (terms_gamma(cg, t) for t in terms.values())
         count = terms_count(terms[kind])
-        family = classify_family(factorize(n)).label
+        family = classify_family(cg.factorization).label
         if args.json:
             rows.append({
                 "n": n,

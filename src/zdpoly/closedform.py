@@ -16,20 +16,21 @@ formula is written as a term (shift, free, gens) = (t, f3, (f1, f2)), the
 key of the class engine's up-set terms, and ``domcount.sum_terms`` sums a
 formula's terms as it sums the engine's, with no polynomial product.
 
-The public readers refuse before any formula runs: a family with no
-formula, a tag that is not n's classification, and a graph over
-zdgraph.VERTEX_LIMIT, whatever the caller.
+``closed_form_poly`` reads a formula on the caller's class graph, as
+``domcount.class_engine_poly`` reads the engine's table.  It refuses before
+any formula runs: a family with no formula, a tag that is not the graph's
+classification, and a graph over zdgraph.VERTEX_LIMIT, whatever the caller.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .domcount import sum_terms
+from .domcount import DominationKind, sum_terms
 from .errors import UnsupportedFamilyError
-from .numtheory import Family, FamilyTag, classify_family, factorize
+from .numtheory import Family, FamilyTag, classify_family
 from .polyring import Polynomial
-from .zdgraph import build_class_graph, check_vertex_limit
+from .zdgraph import ClassGraph, build_class_graph, check_vertex_limit
 
 
 def _psquareq_cases(p: int, q: int) -> list[tuple]:
@@ -136,32 +137,33 @@ _FORMULAS = {
 }
 
 
-def _closed_form(n: int, tag: FamilyTag, total: bool) -> Polynomial:
-    """The sum of the term table of the D (or, when ``total``, the D_t)
-    formula of the tag's family at n, checked before any of it runs:
+def closed_form_poly(cg: ClassGraph, tag: FamilyTag,
+                     kind: DominationKind) -> Polynomial:
+    """The sum of the term table of the D (or, for TOTAL, the D_t) formula
+    of the tag's family on ``cg``, checked before any of it runs:
     UnsupportedFamilyError when the family has no formula, ValueError when
-    the tag is not ``classify_family`` of n, and CapacityError when the
-    graph is over zdgraph.VERTEX_LIMIT.  ``sum_terms`` then refuses the
-    sum with CapacityError, before any row is built, when its counted work
-    is over domcount.ENGINE_WORK_LIMIT."""
+    the tag is not ``classify_family(cg.factorization)``, and CapacityError
+    when the graph is over zdgraph.VERTEX_LIMIT.  ``sum_terms`` then refuses
+    the sum with CapacityError, before any row is built, when its counted
+    work is over domcount.ENGINE_WORK_LIMIT."""
+    total = kind is DominationKind.TOTAL
     what = "total-domination" if total else "domination"
     if tag.family not in _FORMULAS:
         raise UnsupportedFamilyError(
-            f"no closed-form {what} formula applies to n={n}")
-    if tag != classify_family(factorize(n)):
-        raise ValueError(f"family tag {tag} is not the one of n={n}")
-    cg = build_class_graph(n)
+            f"no closed-form {what} formula applies to n={cg.n}")
+    if tag != classify_family(cg.factorization):
+        raise ValueError(f"family tag {tag} is not the one of n={cg.n}")
     check_vertex_limit(cg, "closed-form")
     return sum_terms(cg, _FORMULAS[tag.family][total](tag), "closed-form")
 
 
 def closed_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Domination polynomial of the zero-divisor graph of Z_n from the
-    family's closed form.  Raises as ``_closed_form`` does."""
-    return _closed_form(n, tag, False)
+    family's closed form.  Raises as ``closed_form_poly`` does."""
+    return closed_form_poly(build_class_graph(n), tag, DominationKind.ORDINARY)
 
 
 def closed_total_domination(n: int, tag: FamilyTag) -> Polynomial:
     """Total-domination polynomial of the zero-divisor graph of Z_n from the
-    family's closed form.  Raises as ``_closed_form`` does."""
-    return _closed_form(n, tag, True)
+    family's closed form.  Raises as ``closed_form_poly`` does."""
+    return closed_form_poly(build_class_graph(n), tag, DominationKind.TOTAL)

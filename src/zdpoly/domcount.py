@@ -98,7 +98,6 @@ from itertools import chain
 from operator import add, getitem
 
 from .errors import CapacityError
-from .numtheory import factorize
 from .polyring import Polynomial, binomial_expand
 from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 
@@ -320,7 +319,7 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     vertices; and during the walk, once it counts past ENGINE_UPSET_LIMIT.
     """
     if kind is DominationKind.ORDINARY:
-        widest = _widest_rank_level(cg.n)
+        widest = _widest_rank_level(cg)
         if 1 << widest > ENGINE_UPSET_LIMIT:
             raise CapacityError(
                 f"n={cg.n} has {widest} divisor classes of one rank, so at "
@@ -332,7 +331,7 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
                             [c.size for c in cg.classes])
     # With U all classes, every class but the generators n/p is free.  A
     # prime n has no classes, so no generators.
-    gens = tuple(p - 1 for p, _ in factorize(cg.n).factors if p < cg.n)
+    gens = tuple(p - 1 for p, _ in cg.factorization.factors if p < cg.n)
     terms = {(0, cg.vertex_count - sum(gens), gens): 1}
     if len(gens) == 1:
         terms[1, 0, ()] = -gens[0]
@@ -347,14 +346,14 @@ def _bits(mask):
         mask ^= low
 
 
-def _widest_rank_level(n):
-    """The most proper divisors of n with one count of prime factors (with
-    multiplicity): the largest coefficient of prod over p^e || n of
+def _widest_rank_level(cg):
+    """The most proper divisors of n = cg.n with one count of prime factors
+    (with multiplicity): the largest coefficient of prod over p^e || n of
     (1 + t + ... + t^e) but those of 1 and n.  No such divisor divides
     another, so every subset of the level is an antichain: 2^level bounds
     the up-sets below."""
     levels = [1]
-    for _, e in factorize(n).factors:
+    for _, e in cg.factorization.factors:
         levels = [sum(levels[max(0, r - e):r + 1])
                   for r in range(len(levels) + e)]
     return max(levels[1:-1], default=0)

@@ -1,9 +1,10 @@
 """Integer arithmetic: the factorization of n and the shape it gives n.
 
-Everything here is exact and deterministic; trial division is plenty for the
-moduli this package targets (a few hundred up to a few million).  The
-divisors of n and their totients are built from the factorization where
-they are used, in ``zdgraph.build_class_graph``.
+Everything here is exact and deterministic.  Trial division takes about
+sqrt(n)/2 steps, 0.7-0.8 s at n near 10^14 (2-core Xeon, Python 3.11), and
+a command pays it once: ``zdgraph.build_class_graph`` factors n, keeps the
+result on the class graph, and builds the divisors of n and their totients
+from it.
 """
 
 from __future__ import annotations

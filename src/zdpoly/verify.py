@@ -13,11 +13,11 @@ import time
 from contextlib import suppress
 from typing import NamedTuple
 
-from .closedform import closed_domination, closed_total_domination
+from .closedform import closed_form_poly
 from .domcount import (DominationKind, brute_force_poly, check_brute_size,
                        class_engine_poly, engine_terms, sum_terms, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
-from .numtheory import FamilyTag, classify_family, factorize
+from .numtheory import FamilyTag, classify_family
 from .polyring import Polynomial
 from .zdgraph import ClassGraph, build_class_graph, expand_vertex_graph
 
@@ -37,7 +37,8 @@ def compute(method: str, cg: ClassGraph, kind: DominationKind) -> Polynomial:
     Each method checks its own limits before its work and raises
     CapacityError past them; brute force refuses a graph over its vertex
     limit before it is expanded.  The closed forms take ``classify_family``
-    of ``cg.n`` and raise UnsupportedFamilyError when no formula covers it.
+    of ``cg.factorization`` and raise UnsupportedFamilyError when no
+    formula covers it.
     """
     if method == METHOD_BRUTE:
         check_brute_size(cg.vertex_count)
@@ -45,9 +46,7 @@ def compute(method: str, cg: ClassGraph, kind: DominationKind) -> Polynomial:
     if method == METHOD_CLASSES:
         return class_engine_poly(cg, kind)
     if method == METHOD_CLOSED:
-        closed = (closed_domination if kind is DominationKind.ORDINARY
-                  else closed_total_domination)
-        return closed(cg.n, classify_family(factorize(cg.n)))
+        return closed_form_poly(cg, classify_family(cg.factorization), kind)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -124,7 +123,7 @@ def run_verification(n: int, kind: DominationKind) -> VerificationReport:
     gamma, gamma_total = (None if t is None else terms_gamma(cg, t)
                           for t in terms.values())
     return VerificationReport(
-        n=n, family=classify_family(factorize(n)), kind=kind,
+        n=n, family=classify_family(cg.factorization), kind=kind,
         outcomes=outcomes, status=status, compared=ran,
         disagreements=tuple(disagreements),
         gamma=gamma, gamma_total=gamma_total,

@@ -20,7 +20,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .numtheory import factorize
+from .numtheory import Factorization, factorize
 
 # Most vertices taken on by anything that builds |V|-sized data.  A counting
 # polynomial has |V| + 1 coefficients of up to |V| bits: for n = 70046
@@ -47,11 +47,14 @@ class ClassGraph(NamedTuple):
     i as an internal clique.  Since n | d_i * d_j iff n/d_i | d_j,
     ``neighbors[i]`` is also the up-set of the partner class in the
     divisibility order, and its lowest set bit is that class.
+    ``factorization`` is n's, the one the classes were built from; every
+    layer reads n's primes and family from it, so n is factored once.
     """
 
     n: int
     classes: tuple[DivisorClass, ...]
     neighbors: tuple[int, ...]
+    factorization: Factorization
 
     @property
     def vertex_count(self) -> int:
@@ -87,8 +90,9 @@ def build_class_graph(n: int) -> ClassGraph:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    factorization = factorize(n)
     pairs = [(1, 1)]  # (d, phi(m/d)), m the product of the powers so far
-    for p, e in factorize(n).factors:
+    for p, e in factorization.factors:
         phi = [1] + [p ** (j - 1) * (p - 1) for j in range(1, e + 1)]
         pairs = [(d * p ** i, m * phi[e - i])
                  for d, m in pairs for i in range(e + 1)]
@@ -98,7 +102,8 @@ def build_class_graph(n: int) -> ClassGraph:
     neighbors = tuple(
         sum(1 << j for j, e in enumerate(divisors) if (d * e) % n == 0)
         for d in divisors)
-    return ClassGraph(n=n, classes=classes, neighbors=neighbors)
+    return ClassGraph(n=n, classes=classes, neighbors=neighbors,
+                      factorization=factorization)
 
 
 def check_vertex_limit(cg: ClassGraph, what: str) -> None:

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -407,3 +408,41 @@ def test_table_prints_the_rows_it_answers(json_flag):
 def test_table_empty_range_is_usage_error():
     res = run_cli("table", "9", "4")
     assert res.returncode == 1
+
+
+def test_each_command_factorizes_n_once(monkeypatch, capsys):
+    """Every command factors n once and builds its class graph once: the
+    layers read n's primes and family from ``ClassGraph.factorization``.
+    Each binding of either function in the package is counted, so a layer
+    that factors n through its own import is caught too."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "zdpoly":
+            continue
+        for name in ("factorize", "build_class_graph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    commands = (("poly",), ("poly", "--total"),
+                ("poly", "--method", "closed"),
+                ("poly", "--method", "closed", "--total"),
+                ("gamma",), ("table", "{n}"),
+                ("verify",), ("verify", "--total"),
+                ("verify", "--json"), ("verify", "--total", "--json"),
+                ("graph", "--format", "classes"))
+    for n in (12, 45, 75, 105, 243, 1000000007):
+        for command in commands:
+            argv = [command[0], str(n),
+                    *(arg.format(n=n) for arg in command[1:])]
+            calls.clear()
+            status = cli.main(argv)
+            capsys.readouterr()
+            assert status in (cli.EXIT_OK, cli.EXIT_UNSUPPORTED), argv
+            assert calls == {"factorize": 1, "build_class_graph": 1}, argv
