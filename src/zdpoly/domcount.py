@@ -64,12 +64,19 @@ multiply and an add per coefficient, so it counts 2 * (E+1) per distinct E
 and per (E, shift) pair.  Horner in (1+x) goes down from the largest E,
 adds Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for each
 unit step of E with one add per live coefficient, from x^0 up; it counts
-those adds.  Both counts come from the table before any row is built, and
-the smaller one picks the sum.  Horner wins when many shifts recur over
-many E (n = 2520: 1.9 M against 20 M), flat when there are few rows (prime
-powers, n = 2p, and D_t, 2^omega(n) rows at shift 0 and, at n = p^alpha,
-the x term) and E is large: Horner takes every n below 34, whose unit
-steps are few, and flat every D_t past 84.  Horner holds its coefficients
+those adds.  It stops at the lowest row, E_min: the sum so far, R(x),
+times (1+x)^E_min is the answer, so when E_min > 0 one flat row finishes
+it, (1+x)^E_min added at each coefficient of R, and is counted as the flat
+sum counts it.  Both counts come from the table before any row is built,
+and the smaller one picks the sum.  Horner wins when many shifts recur
+over many E (n = 2520: 1.9 M against 20 M), flat when there are few rows
+and E is large (prime powers, n = 2p): Horner takes every n below 34,
+whose unit steps are few.  D_t has 2^omega(n) rows at shift 0 (and, at
+n = p^alpha, the x term), spanning only E_min ... E_min + sum (p - 1), so
+Horner and one row take it when its primes are many and small (n = 336,
+2520, 9828; 2520 in 4.5 ms against the flat sum's 18) and the flat sum
+when one prime is large (n = 2 * 3 * 17).  Every D table has a row at
+E = 0, so its Horner runs to x^0 as it did.  Horner holds its coefficients
 in one of two ways, picked from the table: a list with one add per live
 coefficient, or, while the coefficients are narrow, one integer, the sum
 at x = 2^w for a slot width w bound by the counts (Kronecker substitution),
@@ -117,7 +124,7 @@ ENGINE_UPSET_LIMIT = 1_500_000
 # this is about 10 s at |V| = 7 235 (n = 9828 counts 26.2 M).  No closed
 # form within zdgraph.VERTEX_LIMIT comes near it: one has at most 27
 # (E, shift) pairs (n = pqr), each counting at most 4 * (|V| + 1) in the
-# flat sum, so at most 5.4 M.
+# flat sum, so at most 5.4 M, whatever Horner's count with its last row.
 ENGINE_WORK_LIMIT = 30_000_000
 
 # The brute-force limit: most vertices brute force takes.  Per kind, D and
@@ -419,8 +426,10 @@ def _assemble(terms, nv):
     the row table {E: {shift: signed count of x^shift * (1+x)^E}}, and of
     _flat_sum and _horner_sum the one that counts the less work, with that
     count.  Flat counts 2 * (E+1) per distinct E and per (E, shift) pair;
-    Horner, at each unit step of E, one add per coefficient from x^0 up to
-    the highest degree its rows have reached.
+    Horner, at each unit step of E down to the lowest row's, low, one add
+    per coefficient from x^0 up to the highest degree, reach, its rows
+    have reached.  When low > 0, Horner also counts its last row as flat
+    counts a row (1+x)^low at reach - low + 1 shifts.
 
     The keys are grouped by ``gens`` into tables of (E, shift) entries,
     starting at E = free.  Going from the longest ``gens`` down, each
@@ -451,11 +460,15 @@ def _assemble(terms, nv):
             e, shift = divmod(key, width)
             rows.setdefault(e, {})[shift] = c
     flat = sum((e + 1) * (2 * len(shifts) + 2) for e, shifts in rows.items())
+    low = min(rows, default=0)
     horner = reach = 0
-    for e in range(max(rows, default=0), 0, -1):
+    for e in range(max(rows, default=0), low, -1):
         if e in rows:
             reach = max(reach, e + max(rows[e]))
         horner += reach - e + 1
+    if low:
+        reach = max(reach, low + max(rows[low]))
+        horner += (low + 1) * (2 * (reach - low + 1) + 2)
     if horner < flat:
         return rows, horner, _horner_sum
     return rows, flat, _flat_sum
@@ -476,18 +489,29 @@ def _flat_sum(rows, nv):
 
 def _horner_sum(rows, nv):
     """Horner in (1+x): going down from the largest E, add Q_E(x), the sum
-    of count * x^shift, then multiply by (1+x) for the step down to E - 1.
-    Every coefficient of the running sum, and of the result, is at most
-    the sum of |count| * 2^E in size, so slots of that many bits and a
+    of count * x^shift, then multiply by (1+x) for the step down to E - 1,
+    as far as the lowest row, low.  The table runs shifted down by low,
+    over nv - low degrees, and when low > 0 one binomial row finishes it:
+    the flat sum of (1+x)^low at each coefficient of the result.  Every
+    coefficient of the running sum, and of the result, is at most the sum
+    of |count| * 2^(E - low) in size, so slots of that many bits and a
     sign bit, in whole bytes, hold them all.  Up to _PACKED_SLOT_BITS a
     slot, the sum runs on one integer, ``_packed_horner_sum``; past it, on
     the list of live coefficients, ``_window_horner_sum``."""
+    low = min(rows, default=0)
+    if low:
+        rows = {e - low: shifts for e, shifts in rows.items()}
     bound = sum(sum(map(abs, shifts.values())) << e
                 for e, shifts in rows.items())
     slot = bound.bit_length() // 8 + 1
     if 8 * slot <= _PACKED_SLOT_BITS:
-        return _packed_horner_sum(rows, nv, slot)
-    return _window_horner_sum(rows, nv)
+        rest = _packed_horner_sum(rows, nv - low, slot)
+    else:
+        rest = _window_horner_sum(rows, nv - low)
+    if not low:
+        return rest
+    return _flat_sum({low: {d: c for d, c in enumerate(rest.coeffs) if c}},
+                     nv)
 
 
 def _packed_horner_sum(rows, nv, slot):

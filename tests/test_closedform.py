@@ -398,6 +398,25 @@ def test_readme_findings_table():
 
 # --- dispatch edges --------------------------------------------------------
 
+def test_closed_form_sums_match_flat():
+    """For every family member up to AUDIT_BOUND, both kinds, Horner's sum
+    and the sum the counts pick equal the flat sum of the formula's rows.
+    The D_t tables of p^2q and pqr start above (1+x)^0, so Horner stops at
+    their lowest row and one binomial row finishes."""
+    tails = Counter()
+    for n, tag in family_members():
+        nv = build_class_graph(n).vertex_count
+        for kind in (ORD, TOT):
+            terms = cf._FORMULAS[tag.family][kind is TOT](tag)
+            rows, _, sum_rows = dc._assemble(terms, nv)
+            flat = dc._flat_sum(rows, nv)
+            assert sum_rows(rows, nv) == flat, (n, kind)
+            assert dc._horner_sum(rows, nv) == flat, (n, kind)
+            if min(rows, default=0):
+                tails[tag.family, kind] += 1
+    assert tails == {(Family.P_SQUARE_Q, TOT): 108, (Family.PQR, TOT): 135}
+
+
 def test_unsupported_family_raises():
     for n in (2, 7, 100, 210):
         tag = classify_family(factorize(n))
@@ -441,7 +460,8 @@ def test_library_callers_refused_before_any_work(monkeypatch):
 
 def test_closed_form_work_limit_refuses_before_rows(monkeypatch):
     """Past ENGINE_WORK_LIMIT, a closed form is refused, named as such,
-    before either sum builds a row."""
+    before either sum builds a row.  D_t's count at 75 includes the one
+    binomial row that finishes Horner's sum below its lowest E."""
     def no_rows(*args):
         raise AssertionError("a binomial row was built")
 
@@ -450,11 +470,13 @@ def test_closed_form_work_limit_refuses_before_rows(monkeypatch):
     monkeypatch.setattr(dc, "_horner_sum", no_rows)
     monkeypatch.setattr(dc, "_packed_horner_sum", no_rows)
     monkeypatch.setattr(dc, "_window_horner_sum", no_rows)
-    with pytest.raises(CapacityError) as err:
-        closed_domination(75, classify_family(factorize(75)))
-    assert str(err.value) == (
-        "summing the binomial rows for n=75 counts 595 operations, over the "
-        "closed-form work limit of 0")
+    for closed, work in ((closed_domination, 595),
+                         (closed_total_domination, 485)):
+        with pytest.raises(CapacityError) as err:
+            closed(75, classify_family(factorize(75)))
+        assert str(err.value) == (
+            f"summing the binomial rows for n=75 counts {work} operations, "
+            f"over the closed-form work limit of 0")
 
 
 def test_closed_forms_make_no_polynomial_product(monkeypatch):

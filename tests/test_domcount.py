@@ -300,7 +300,7 @@ def test_engine_class_capacity(monkeypatch):
         "the class-engine up-set limit of 10000")
 
 
-@pytest.mark.parametrize("kind, work", [(ORD, 28680), (TOT, 7536)])
+@pytest.mark.parametrize("kind, work", [(ORD, 28680), (TOT, 5127)])
 def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
     """Past ENGINE_WORK_LIMIT, class_engine_poly refuses before either sum
     builds a row; at the limit it answers."""
@@ -325,10 +325,10 @@ def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
 
 
 @pytest.mark.parametrize("n, kind, work, sum_rows", [
-    (60, TOT, 946, "_horner_sum"),  # flat: 1 296
+    (60, TOT, 694, "_horner_sum"),  # flat: 1 296
     (288, ORD, 18336, "_horner_sum"),  # flat: 25 712
     (336, ORD, 28680, "_horner_sum"),  # flat: 72 258
-    (336, TOT, 7536, "_flat_sum"),
+    (336, TOT, 5127, "_horner_sum"),  # flat: 7 536
     (696, ORD, 111156, "_horner_sum"),  # flat: 111 858
     (1590, ORD, 688551, "_horner_sum"),  # flat: 694 358
     (9828, ORD, 26176230, "_horner_sum"),  # flat: 281 757 096
@@ -339,7 +339,9 @@ def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
     admits: 9828 and 20014 are in reach only through the choice.  The flat
     count includes expanding each row, so 288 takes Horner, the faster
     there.  Horner's counted adds alone pick it at 60 D_t, 696 and 1590,
-    where it took 0.4-0.7 times the flat sum's time (2-core Xeon)."""
+    where it took 0.4-0.7 times the flat sum's time (2-core Xeon).  D_t's
+    rows start at E = |V| - sum (p - 1), so Horner stops there and one row
+    finishes: 336 D_t took 0.18-0.22 ms so, against 0.41-0.52 flat."""
     cg = build_class_graph(n)
     terms = dc.engine_terms(cg, kind)
     _, got_work, got_sum = dc._assemble(terms, cg.vertex_count)
@@ -347,14 +349,20 @@ def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
     assert work <= dc.ENGINE_WORK_LIMIT
 
 
-@pytest.mark.parametrize("n, used, unused", [
-    (336, "_packed_horner_sum", "_window_horner_sum"),  # 248-bit slots
-    (2520, "_window_horner_sum", "_packed_horner_sum"),  # 1952-bit slots
+@pytest.mark.parametrize("n, used, unused, kind", [
+    (336, "_packed_horner_sum", "_window_horner_sum", ORD),  # 248-bit slots
+    (2520, "_window_horner_sum", "_packed_horner_sum", ORD),  # 1952 bits
+    (336, "_packed_horner_sum", "_window_horner_sum", TOT),  # 16 bits
+    (2520, "_packed_horner_sum", "_window_horner_sum", TOT),  # 16 bits
 ])
-def test_horner_sum_picks_its_representation(monkeypatch, n, used, unused):
+def test_horner_sum_picks_its_representation(monkeypatch, n, used, unused,
+                                             kind):
     """Horner's sum for D runs on one packed integer at n = 336 and on the
     list window at 2520, and never enters the other: the crossover stays
-    between them, below the sizes the reach checks run at."""
+    between them, below the sizes the reach checks run at.  D_t's table,
+    shifted down to its lowest row, spans only sum (p - 1) + 1 values of E
+    with counts of +-1, so its slots are narrow and it runs packed at
+    both."""
     calls = Counter()
 
     def spy(*args, sum_rows=getattr(dc, used)):
@@ -367,9 +375,9 @@ def test_horner_sum_picks_its_representation(monkeypatch, n, used, unused):
     monkeypatch.setattr(dc, used, spy)
     monkeypatch.setattr(dc, unused, no_sum)
     cg = build_class_graph(n)
-    poly = class_engine_poly(cg, ORD)
+    poly = class_engine_poly(cg, kind)
     assert calls == {used: 1}
-    terms = engine_terms(cg, ORD)
+    terms = engine_terms(cg, kind)
     assert gamma_from_poly(poly) == terms_gamma(cg, terms)
     assert sum(poly.coeffs) == terms_count(terms)
 
@@ -391,15 +399,18 @@ def test_packed_horner_slots_hold_wide_signed_coefficients(monkeypatch):
 
 
 @st.composite
-def signed_tables(draw):
+def signed_tables(draw, widths=(70,)):
     """(nv, rows): a random signed row table of degree at most nv <= 12,
-    with counts of up to 70 bits and every shift at least a drawn low
-    bound, so that often no row starts at x^0."""
+    with counts of up to a drawn one of ``widths`` bits, and every E and
+    every shift at least a drawn low bound each, so that often no row is
+    (1+x)^0 and none starts at x^0."""
     nv = draw(st.integers(0, 12))
+    bits = draw(st.sampled_from(widths))
+    low_e = draw(st.integers(0, nv))
     low = draw(st.integers(0, nv))
     pairs = draw(st.dictionaries(
-        st.tuples(st.integers(0, nv), st.integers(low, nv)),
-        st.integers(-2 ** 70, 2 ** 70), max_size=20))
+        st.tuples(st.integers(low_e, nv), st.integers(low, nv)),
+        st.integers(-2 ** bits, 2 ** bits), max_size=20))
     rows = {}
     for (e, shift), c in pairs.items():
         if e + shift <= nv and c:
@@ -423,6 +434,37 @@ def test_window_horner_matches_flat_on_signed_tables(case):
     """The list window equals the flat sum on random signed tables."""
     nv, rows = case
     assert dc._window_horner_sum(rows, nv) == dc._flat_sum(rows, nv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_tables(widths=(70, 600)))
+def test_horner_sum_matches_flat_on_signed_tables(case):
+    """Horner's sum, shifted down to the lowest row and finished by one
+    binomial row, equals the flat sum on random signed tables, packed
+    (70-bit counts) and on the list window (600-bit counts, past
+    _PACKED_SLOT_BITS)."""
+    nv, rows = case
+    assert dc._horner_sum(rows, nv) == dc._flat_sum(rows, nv)
+
+
+def test_sums_match_flat_on_engine_tables():
+    """For every engine table with n below 1500 whose rows start above
+    (1+x)^0, Horner's sum equals the flat sum of the same rows, so either
+    sum the counts pick does.  Those are the D_t tables but those of prime
+    powers and 2p: Horner stops at their lowest row and one binomial row
+    finishes.  Every D table has a row at (1+x)^0, so its sums are the
+    ones test_engine_matches_flat_reference checks."""
+    tails = 0
+    for n in range(2, 1500):
+        cg = build_class_graph(n)
+        nv = cg.vertex_count
+        for kind in (ORD, TOT):
+            rows, _, _ = dc._assemble(engine_terms(cg, kind), nv)
+            if min(rows, default=0):
+                assert kind is TOT, n
+                tails += 1
+                assert dc._horner_sum(rows, nv) == dc._flat_sum(rows, nv), n
+    assert tails == 807
 
 
 # sha256 of the comma-joined coefficients of class_engine_poly, recorded

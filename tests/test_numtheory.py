@@ -2,10 +2,12 @@
 and the totient reference."""
 
 import math
+import random
 
 import pytest
 from totient_reference import totient
 
+from zdpoly import numtheory
 from zdpoly.numtheory import Family, classify_family, factorize
 from zdpoly.zdgraph import build_class_graph
 
@@ -32,6 +34,51 @@ def test_factorize_primes_are_prime():
     for n in range(2, 2000):
         for p, _ in factorize(n).factors:
             assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+# The least composites that pass the strong probable-prime test to the
+# first 12 and the first 13 prime bases (2 ... 37 and 2 ... 41).
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_factorize_matches_sympy():
+    """Random n to 10^12, large primes up to just below PSI_13, 2p and
+    small multiples of them, and n past PSI_13 with small factors."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    primes = [sympy.prevprime(10 ** k) for k in (7, 9, 12, 14, 18, 23)]
+    primes += [100_000_000_000_031, 10 ** 18 + 3, sympy.prevprime(PSI_13)]
+    cases = [rng.randrange(2, 10 ** 12) for _ in range(200)]
+    cases += [m * p for p in primes for m in (1, 2, 6, 1024, 3 ** 5 * 7)]
+    cases += [2 ** 100 * 3, 3 ** 60 * 5 * 7]
+    for n in cases:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_small_n_is_factored_by_trial_division_alone(monkeypatch):
+    """Up to 10^6 no cofactor is large enough for the primality test."""
+    def no_test(m):
+        raise AssertionError(f"primality test on {m}")
+
+    monkeypatch.setattr(numtheory, "_proven_prime", no_test)
+    for n in [*range(2, 20_000), 999_983, 999_999, 2 * 499_979, 10 ** 6]:
+        factorize(n)
+
+
+def test_proven_prime_matches_sympy():
+    """The Miller-Rabin test on random odd m in (10^6, PSI_13), Carmichael
+    numbers, and the pseudoprimes that fool the first 12 or 13 bases."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    cases = [rng.randrange(10 ** 6, PSI_13) | 1 for _ in range(500)]
+    cases += [sympy.prevprime(10 ** k) for k in range(7, 25)]
+    cases += [1_024_651, 9_624_742_921, 1_713_045_574_801,
+              sympy.prevprime(PSI_13)]
+    for m in cases:
+        assert numtheory._proven_prime(m) == sympy.isprime(m), m
+    assert not sympy.isprime(PSI_12) and not numtheory._proven_prime(PSI_12)
+    assert not numtheory._proven_prime(PSI_13)
 
 
 def test_prime_has_one_factor():
