@@ -57,33 +57,32 @@ the generator sizes multiplies out to signed powers (1+x)^E, with E = free
 + the sizes of a subset of the generators: the (1+x)-power form of
 D(G, x) = sum over W of (-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon,
 Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Merged over the
-terms, they make a row table {E: {shift: signed count}}, which two sums
-read.  The flat sum expands each row (1+x)^E once, a multiply and a floor
-division per coefficient, and adds it, times its count, at each shift: a
-multiply and an add per coefficient, so it counts 2 * (E+1) per distinct E
-and per (E, shift) pair.  Horner in (1+x) goes down from the largest E,
-adds Q_E(x) = sum of count * x^shift, and multiplies by (1+x) for each
-unit step of E with one add per live coefficient, from x^0 up; it counts
-those adds.  It stops at the lowest row, E_min: the sum so far, R(x),
-times (1+x)^E_min is the answer, so when E_min > 0 one flat row finishes
-it, (1+x)^E_min added at each coefficient of R, and is counted as the flat
-sum counts it.  Both counts come from the table before any row is built,
-and the smaller one picks the sum.  Horner wins when many shifts recur
-over many E (n = 2520: 1.9 M against 20 M), flat when there are few rows
-and E is large (prime powers, n = 2p): Horner takes every n below 34,
-whose unit steps are few.  D_t has 2^omega(n) rows at shift 0 (and, at
-n = p^alpha, the x term), spanning only E_min ... E_min + sum (p - 1), so
-Horner and one row take it when its primes are many and small (n = 336,
-2520, 9828; 2520 in 4.5 ms against the flat sum's 18) and the flat sum
-when one prime is large (n = 2 * 3 * 17).  Every D table has a row at
-E = 0, so its Horner runs to x^0 as it did.  Horner holds its coefficients
-in one of two ways, picked from the table: a list with one add per live
-coefficient, or, while the coefficients are narrow, one integer, the sum
-at x = 2^w for a slot width w bound by the counts (Kronecker substitution),
-where a unit step is two big-int operations, a shift and an add, and each
-row adds its Q_E(2^w) once.  The packed steps cost more the wider the
-slots, so the list takes over past _PACKED_SLOT_BITS (n = 336 sums packed,
-2520 on the list).
+terms, they make a row table {E: {shift: signed count}}, summed one way:
+Horner in (1+x) from the largest E down to a stop row, then one flat pass.
+Horner adds Q_E(x) = sum of count * x^shift at each row and multiplies by
+(1+x) for each unit step of E, one add per live coefficient from x^0 up;
+its sum R(x) times (1+x)^stop is the sum of the rows at or above the stop.
+The flat pass expands each row below the stop, and R as the row at the
+stop, (1+x)^E once (a multiply and a floor division per coefficient) and
+adds it times its count at each shift (a multiply and an add), so it
+counts 2 * (E+1) per row and per (E, shift) pair.  Three stops are priced
+from the table before any row is built, and the cheapest is taken: above
+the top row, the flat sum alone; the lowest row; and x^0, Horner alone.
+Horner wins when many shifts recur over many E (n = 2520: 1.9 M against
+20 M), the flat sum when there are few rows and E is large (prime powers,
+n = 2p).  Every D table has a row at E = 0, so its two Horner stops are
+one.  D_t has 2^omega(n) rows at shift 0 (and, at n = p^alpha, the x
+term), spanning only E_min ... E_min + sum (p - 1): it stops at its lowest
+row when its primes are many and small (n = 336, 2520, 9828), at x^0 when
+E_min is small too (n = 12 to 78), and is summed flat when one prime is
+large (n = 2 * 3 * 17).  Horner holds its coefficients in one of two
+ways, picked from the table: a list with one add per live coefficient,
+or, while the coefficients are narrow, one integer, the sum at x = 2^w
+for a slot width w bound by the counts (Kronecker substitution), where a
+unit step is two big-int operations, a shift and an add, and each row
+adds its Q_E(2^w) once.  The packed steps cost more the wider the slots,
+so the list takes over past _PACKED_SLOT_BITS (n = 336 sums packed, 2520
+on the list).
 
 ``terms_gamma`` reads the domination number from the up-set keys (shift,
 free size, generator sizes) without building a polynomial.  With no
@@ -102,7 +101,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import chain
-from operator import add, getitem
+from operator import add, getitem, itemgetter
 
 from .errors import CapacityError
 from .polyring import Polynomial, binomial_expand
@@ -118,13 +117,13 @@ from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 ENGINE_UPSET_LIMIT = 1_500_000
 
 # Most work sum_terms takes on to sum the binomial rows, for the class
-# engine and the closed forms alike: the smaller of the two sums' counts
-# (see _assemble), checked before any row is built.  A unit costs about
+# engine and the closed forms alike: the count of the cheapest stop (see
+# _assemble), checked before any row is built.  A unit costs about
 # 0.1-0.4 us on the same machine, the more the wider the coefficients, so
 # this is about 10 s at |V| = 7 235 (n = 9828 counts 26.2 M).  No closed
 # form within zdgraph.VERTEX_LIMIT comes near it: one has at most 27
 # (E, shift) pairs (n = pqr), each counting at most 4 * (|V| + 1) in the
-# flat sum, so at most 5.4 M, whatever Horner's count with its last row.
+# flat sum, so at most 5.4 M, whatever Horner's counts at its other stops.
 ENGINE_WORK_LIMIT = 30_000_000
 
 # The brute-force limit: most vertices brute force takes.  Per kind, D and
@@ -136,7 +135,7 @@ ENGINE_WORK_LIMIT = 30_000_000
 # bits each at 40.
 BRUTE_CEILING = 40
 
-# Widest slot, in bits, at which _horner_sum runs on one packed integer
+# Widest slot, in bits, at which _sum_rows runs Horner on one packed integer
 # instead of a list.  A packed unit step moves the whole integer twice, so
 # it costs more the wider the slots, while a list add costs mostly its
 # fixed overhead; a row costs another pass, and more with many shifts.
@@ -279,16 +278,16 @@ def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
 def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
     """The sum of the terms {(shift, free, gens): signed count} as a
     polynomial of degree at most ``cg.vertex_count``: the table
-    ``_assemble`` makes, summed by the sum it picks.  Raises CapacityError,
+    ``_assemble`` makes, summed to the stop it picks.  Raises CapacityError,
     naming ``what`` refused it, when the sum's counted work is over
     ENGINE_WORK_LIMIT, before any row is built."""
     nv = cg.vertex_count
-    rows, work, sum_rows = _assemble(terms, nv)
+    rows, work, stop = _assemble(terms, nv)
     if work > ENGINE_WORK_LIMIT:
         raise CapacityError(
             f"summing the binomial rows for n={cg.n} counts {work} "
             f"operations, over the {what} work limit of {ENGINE_WORK_LIMIT}")
-    return sum_rows(rows, nv)
+    return _sum_rows(rows, nv, stop)
 
 
 def terms_count(terms: dict) -> int:
@@ -422,14 +421,14 @@ def _upset_terms(n, up, sizes):
 
 
 def _assemble(terms, nv):
-    """(rows, work, sum_rows) for the terms {(shift, free, gens): count}:
-    the row table {E: {shift: signed count of x^shift * (1+x)^E}}, and of
-    _flat_sum and _horner_sum the one that counts the less work, with that
-    count.  Flat counts 2 * (E+1) per distinct E and per (E, shift) pair;
-    Horner, at each unit step of E down to the lowest row's, low, one add
-    per coefficient from x^0 up to the highest degree, reach, its rows
-    have reached.  When low > 0, Horner also counts its last row as flat
-    counts a row (1+x)^low at reach - low + 1 shifts.
+    """(rows, work, stop) for the terms {(shift, free, gens): count}: the
+    row table {E: {shift: signed count of x^shift * (1+x)^E}}, and the
+    cheapest of three stops for _sum_rows, with its count.  The flat pass
+    counts 2 * (E+1) per row and per (E, shift) pair; Horner, at each unit
+    step of E down to the stop, one add per coefficient from x^0 up to the
+    highest degree, reach, its rows have reached, which stays put below
+    the lowest row, low.  Above the top row only the flat pass counts; at
+    x^0 only Horner; at low > 0 both, R as a row at reach - low + 1 shifts.
 
     The keys are grouped by ``gens`` into tables of (E, shift) entries,
     starting at E = free.  Going from the longest ``gens`` down, each
@@ -459,19 +458,46 @@ def _assemble(terms, nv):
         if c:
             e, shift = divmod(key, width)
             rows.setdefault(e, {})[shift] = c
-    flat = sum((e + 1) * (2 * len(shifts) + 2) for e, shifts in rows.items())
+    top = max(rows, default=0)
     low = min(rows, default=0)
-    horner = reach = 0
-    for e in range(max(rows, default=0), low, -1):
+    plans = [(sum((e + 1) * (2 * len(shifts) + 2)
+                  for e, shifts in rows.items()), top + 1)]
+    steps = reach = 0
+    for e in range(top, low, -1):
         if e in rows:
             reach = max(reach, e + max(rows[e]))
-        horner += reach - e + 1
+        steps += reach - e + 1
     if low:
         reach = max(reach, low + max(rows[low]))
-        horner += (low + 1) * (2 * (reach - low + 1) + 2)
-    if horner < flat:
-        return rows, horner, _horner_sum
-    return rows, flat, _flat_sum
+        plans.append((steps + (low + 1) * (2 * (reach - low + 1) + 2), low))
+    plans.append((steps + low * (reach + 1) - low * (low + 1) // 2, 0))
+    return (rows, *min(plans, key=itemgetter(0)))
+
+
+def _sum_rows(rows, nv, stop):
+    """The sum of ``rows``: Horner in (1+x) from the largest E down to row
+    ``stop``, on the rows at or above it shifted down by it, over nv - stop
+    degrees, then one _flat_sum pass over the rows below it and Horner's
+    result R as the row at it; at stop 0, R is the sum, and past the top
+    row the pass is the flat sum alone.  No coefficient of Horner's sums
+    is larger than the sum of |count| * 2^(E - stop), so slots of that
+    many bits and a sign bit, in whole bytes, hold them: up to
+    _PACKED_SLOT_BITS, Horner runs on one integer, ``_packed_horner_sum``,
+    and past it on a list, ``_window_horner_sum``."""
+    upper = {e - stop: shifts for e, shifts in rows.items() if e >= stop}
+    if upper:
+        bound = sum(sum(map(abs, shifts.values())) << e
+                    for e, shifts in upper.items())
+        slot = bound.bit_length() // 8 + 1
+        if 8 * slot <= _PACKED_SLOT_BITS:
+            rest = _packed_horner_sum(upper, nv - stop, slot)
+        else:
+            rest = _window_horner_sum(upper, nv - stop)
+        if not stop:
+            return rest
+        rows = {e: shifts for e, shifts in rows.items() if e < stop}
+        rows[stop] = {d: c for d, c in enumerate(rest.coeffs) if c}
+    return _flat_sum(rows, nv)
 
 
 def _flat_sum(rows, nv):
@@ -485,33 +511,6 @@ def _flat_sum(rows, nv):
             for d, c in enumerate(row, shift):
                 acc[d] += count * c
     return Polynomial(acc)
-
-
-def _horner_sum(rows, nv):
-    """Horner in (1+x): going down from the largest E, add Q_E(x), the sum
-    of count * x^shift, then multiply by (1+x) for the step down to E - 1,
-    as far as the lowest row, low.  The table runs shifted down by low,
-    over nv - low degrees, and when low > 0 one binomial row finishes it:
-    the flat sum of (1+x)^low at each coefficient of the result.  Every
-    coefficient of the running sum, and of the result, is at most the sum
-    of |count| * 2^(E - low) in size, so slots of that many bits and a
-    sign bit, in whole bytes, hold them all.  Up to _PACKED_SLOT_BITS a
-    slot, the sum runs on one integer, ``_packed_horner_sum``; past it, on
-    the list of live coefficients, ``_window_horner_sum``."""
-    low = min(rows, default=0)
-    if low:
-        rows = {e - low: shifts for e, shifts in rows.items()}
-    bound = sum(sum(map(abs, shifts.values())) << e
-                for e, shifts in rows.items())
-    slot = bound.bit_length() // 8 + 1
-    if 8 * slot <= _PACKED_SLOT_BITS:
-        rest = _packed_horner_sum(rows, nv - low, slot)
-    else:
-        rest = _window_horner_sum(rows, nv - low)
-    if not low:
-        return rest
-    return _flat_sum({low: {d: c for d, c in enumerate(rest.coeffs) if c}},
-                     nv)
 
 
 def _packed_horner_sum(rows, nv, slot):

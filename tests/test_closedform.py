@@ -399,20 +399,22 @@ def test_readme_findings_table():
 # --- dispatch edges --------------------------------------------------------
 
 def test_closed_form_sums_match_flat():
-    """For every family member up to AUDIT_BOUND, both kinds, Horner's sum
-    and the sum the counts pick equal the flat sum of the formula's rows.
-    The D_t tables of p^2q and pqr start above (1+x)^0, so Horner stops at
-    their lowest row and one binomial row finishes."""
+    """For every family member up to AUDIT_BOUND, both kinds, the sum to
+    the stop the counts pick and Horner's sum to the lowest row equal the
+    flat sum of the formula's rows.  The D_t tables of p^2q and pqr start
+    above (1+x)^0, so there Horner stops at their lowest row and one
+    binomial row finishes."""
     tails = Counter()
     for n, tag in family_members():
         nv = build_class_graph(n).vertex_count
         for kind in (ORD, TOT):
             terms = cf._FORMULAS[tag.family][kind is TOT](tag)
-            rows, _, sum_rows = dc._assemble(terms, nv)
+            rows, _, stop = dc._assemble(terms, nv)
+            low = min(rows, default=0)
             flat = dc._flat_sum(rows, nv)
-            assert sum_rows(rows, nv) == flat, (n, kind)
-            assert dc._horner_sum(rows, nv) == flat, (n, kind)
-            if min(rows, default=0):
+            for at in {stop, low}:
+                assert dc._sum_rows(rows, nv, at) == flat, (n, kind)
+            if low:
                 tails[tag.family, kind] += 1
     assert tails == {(Family.P_SQUARE_Q, TOT): 108, (Family.PQR, TOT): 135}
 
@@ -460,16 +462,14 @@ def test_library_callers_refused_before_any_work(monkeypatch):
 
 def test_closed_form_work_limit_refuses_before_rows(monkeypatch):
     """Past ENGINE_WORK_LIMIT, a closed form is refused, named as such,
-    before either sum builds a row.  D_t's count at 75 includes the one
+    before the sum builds a row.  D_t's count at 75 includes the one
     binomial row that finishes Horner's sum below its lowest E."""
     def no_rows(*args):
         raise AssertionError("a binomial row was built")
 
     monkeypatch.setattr(dc, "ENGINE_WORK_LIMIT", 0)
     monkeypatch.setattr(dc, "binomial_expand", no_rows)
-    monkeypatch.setattr(dc, "_horner_sum", no_rows)
-    monkeypatch.setattr(dc, "_packed_horner_sum", no_rows)
-    monkeypatch.setattr(dc, "_window_horner_sum", no_rows)
+    monkeypatch.setattr(dc, "_sum_rows", no_rows)
     for closed, work in ((closed_domination, 595),
                          (closed_total_domination, 485)):
         with pytest.raises(CapacityError) as err:

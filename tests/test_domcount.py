@@ -302,7 +302,7 @@ def test_engine_class_capacity(monkeypatch):
 
 @pytest.mark.parametrize("kind, work", [(ORD, 28680), (TOT, 5127)])
 def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
-    """Past ENGINE_WORK_LIMIT, class_engine_poly refuses before either sum
+    """Past ENGINE_WORK_LIMIT, class_engine_poly refuses before the sum
     builds a row; at the limit it answers."""
     cg = build_class_graph(336)
 
@@ -312,9 +312,7 @@ def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
     with monkeypatch.context() as mp:
         mp.setattr(dc, "ENGINE_WORK_LIMIT", work - 1)
         mp.setattr(dc, "binomial_expand", no_rows)
-        mp.setattr(dc, "_horner_sum", no_rows)
-        mp.setattr(dc, "_packed_horner_sum", no_rows)
-        mp.setattr(dc, "_window_horner_sum", no_rows)
+        mp.setattr(dc, "_sum_rows", no_rows)
         with pytest.raises(CapacityError) as err:
             class_engine_poly(cg, kind)
     assert str(err.value) == (
@@ -324,28 +322,32 @@ def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
     assert class_engine_poly(cg, kind) == _engine_poly(336, kind)
 
 
-@pytest.mark.parametrize("n, kind, work, sum_rows", [
-    (60, TOT, 694, "_horner_sum"),  # flat: 1 296
-    (288, ORD, 18336, "_horner_sum"),  # flat: 25 712
-    (336, ORD, 28680, "_horner_sum"),  # flat: 72 258
-    (336, TOT, 5127, "_horner_sum"),  # flat: 7 536
-    (696, ORD, 111156, "_horner_sum"),  # flat: 111 858
-    (1590, ORD, 688551, "_horner_sum"),  # flat: 694 358
-    (9828, ORD, 26176230, "_horner_sum"),  # flat: 281 757 096
-    (20014, ORD, 80076, "_flat_sum"),  # Horner: over 50 M
+@pytest.mark.parametrize("n, kind, work, stop", [
+    (12, TOT, 28, 0),  # lowest row, 4: 56
+    (60, TOT, 694, 36),  # the lowest row; x^0: 946, flat: 1 296
+    (78, TOT, 1431, 0),  # lowest row, 38: 1 446
+    (288, ORD, 18336, 0),  # flat: 25 712
+    (336, ORD, 28680, 0),  # flat: 72 258
+    (336, TOT, 5127, 230),  # the lowest row; flat: 7 536
+    (696, ORD, 111156, 0),  # flat: 111 858
+    (1590, ORD, 688551, 0),  # flat: 694 358
+    (9828, ORD, 26176230, 0),  # flat: 281 757 096
+    (20014, ORD, 80076, 10008),  # above the top row; Horner: over 50 M
 ])
-def test_engine_picks_the_cheaper_sum(n, kind, work, sum_rows):
-    """The sum the counted work picks, and its count, which the work limit
-    admits: 9828 and 20014 are in reach only through the choice.  The flat
-    count includes expanding each row, so 288 takes Horner, the faster
-    there.  Horner's counted adds alone pick it at 60 D_t, 696 and 1590,
-    where it took 0.4-0.7 times the flat sum's time (2-core Xeon).  D_t's
-    rows start at E = |V| - sum (p - 1), so Horner stops there and one row
-    finishes: 336 D_t took 0.18-0.22 ms so, against 0.41-0.52 flat."""
+def test_engine_picks_the_cheaper_sum(n, kind, work, stop):
+    """The stop the counted work picks, and its count, which the work
+    limit admits: 9828 and 20014 are in reach only through the choice.
+    The flat count includes expanding each row, so 288 takes Horner, the
+    faster there.  Horner's counted adds alone pick it at 60 D_t, 696 and
+    1590, where it took 0.4-0.7 times the flat sum's time (2-core Xeon).
+    D_t's rows start at E = |V| - sum (p - 1), so Horner may stop there
+    and one row finish: 336 D_t took 0.18-0.22 ms so, against 0.41-0.52
+    flat.  At 12 and 78 D_t, whose lowest rows are low, Horner runs on to
+    x^0: the sum took 9-10 us against 11-12 to the lowest row at 12, and
+    33-34 against 60-63 at 78 (best of nine, three runs)."""
     cg = build_class_graph(n)
     terms = dc.engine_terms(cg, kind)
-    _, got_work, got_sum = dc._assemble(terms, cg.vertex_count)
-    assert (got_work, got_sum.__name__) == (work, sum_rows)
+    assert dc._assemble(terms, cg.vertex_count)[1:] == (work, stop)
     assert work <= dc.ENGINE_WORK_LIMIT
 
 
@@ -393,7 +395,7 @@ def test_packed_horner_slots_hold_wide_signed_coefficients(monkeypatch):
     rows = {6: {0: 3000}, 4: {1: -5000, 2: 7}, 1: {3: 11},
             0: {5: -10 ** 6, 6: 1}}
     monkeypatch.setattr(dc, "_window_horner_sum", _no_window)
-    got = dc._horner_sum(rows, 6)
+    got = dc._sum_rows(rows, 6, 0)
     assert got == dc._flat_sum(rows, 6)
     assert got.coeffs == (3000, 13000, 25007, 30039, 25053, -986972, 3008)
 
@@ -425,7 +427,7 @@ def test_packed_horner_matches_flat_on_signed_tables(case):
     nv, rows = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dc, "_window_horner_sum", _no_window)
-        assert dc._horner_sum(rows, nv) == dc._flat_sum(rows, nv)
+        assert dc._sum_rows(rows, nv, 0) == dc._flat_sum(rows, nv)
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,31 +441,37 @@ def test_window_horner_matches_flat_on_signed_tables(case):
 @settings(max_examples=300, deadline=None)
 @given(signed_tables(widths=(70, 600)))
 def test_horner_sum_matches_flat_on_signed_tables(case):
-    """Horner's sum, shifted down to the lowest row and finished by one
-    binomial row, equals the flat sum on random signed tables, packed
-    (70-bit counts) and on the list window (600-bit counts, past
+    """At each of _assemble's three stops, above the top row, the lowest
+    row and x^0, the sum of random signed tables equals the flat sum,
+    packed (70-bit counts) and on the list window (600-bit counts, past
     _PACKED_SLOT_BITS)."""
     nv, rows = case
-    assert dc._horner_sum(rows, nv) == dc._flat_sum(rows, nv)
+    flat = dc._flat_sum(rows, nv)
+    for stop in (max(rows, default=0) + 1, min(rows, default=0), 0):
+        assert dc._sum_rows(rows, nv, stop) == flat, stop
 
 
 def test_sums_match_flat_on_engine_tables():
     """For every engine table with n below 1500 whose rows start above
-    (1+x)^0, Horner's sum equals the flat sum of the same rows, so either
-    sum the counts pick does.  Those are the D_t tables but those of prime
-    powers and 2p: Horner stops at their lowest row and one binomial row
-    finishes.  Every D table has a row at (1+x)^0, so its sums are the
-    ones test_engine_matches_flat_reference checks."""
+    (1+x)^0, the sum to the stop the counts pick, and Horner's sum to the
+    lowest row finished by one binomial row, equal the flat sum of the
+    same rows.  Those are the D_t tables but those of prime powers and
+    2p.  Every D table has a row at (1+x)^0, so its sums are the ones
+    test_engine_matches_flat_reference checks."""
     tails = 0
     for n in range(2, 1500):
         cg = build_class_graph(n)
         nv = cg.vertex_count
         for kind in (ORD, TOT):
-            rows, _, _ = dc._assemble(engine_terms(cg, kind), nv)
-            if min(rows, default=0):
+            rows, _, stop = dc._assemble(engine_terms(cg, kind), nv)
+            low = min(rows, default=0)
+            if low:
                 assert kind is TOT, n
                 tails += 1
-                assert dc._horner_sum(rows, nv) == dc._flat_sum(rows, nv), n
+                flat = dc._flat_sum(rows, nv)
+                for at in {stop, low}:
+                    if at <= max(rows):  # above it, _sum_rows is _flat_sum
+                        assert dc._sum_rows(rows, nv, at) == flat, n
     assert tails == 807
 
 
@@ -617,20 +625,23 @@ def test_upset_walk_matches_reference(monkeypatch):
 
 def test_engine_matches_flat_reference(monkeypatch):
     """Every n below 1200, both kinds, against the flat reference on the
-    same up-set keys; the sweep runs both of the engine's sums."""
-    calls = Counter()
-    for name in ("_flat_sum", "_horner_sum"):
-        def spy(rows, nv, name=name, sum_rows=getattr(dc, name)):
-            calls[name] += 1
-            return sum_rows(rows, nv)
-        monkeypatch.setattr(dc, name, spy)
+    same up-set keys; the sweep takes each of the engine's three stops."""
+    stops = Counter()
+
+    def spy(terms, nv, assemble=dc._assemble):
+        rows, work, stop = assemble(terms, nv)
+        stops["flat" if stop > max(rows, default=0) else
+              "x^0" if stop == 0 else "lowest row"] += 1
+        return rows, work, stop
+
+    monkeypatch.setattr(dc, "_assemble", spy)
     for n in range(2, 1200):
         cg = build_class_graph(n)
         for kind in (ORD, TOT):
             expected = _flat_reference(dc.engine_terms(cg, kind),
                                        cg.vertex_count)
             assert _engine_poly(n, kind) == expected, (n, kind)
-    assert calls["_flat_sum"] and calls["_horner_sum"], calls
+    assert set(stops) == {"flat", "x^0", "lowest row"}, stops
 
 
 def test_engine_count_reads_the_polynomial():
@@ -644,6 +655,27 @@ def test_engine_count_reads_the_polynomial():
             terms = engine_terms(cg, kind)
             assert terms_gamma(cg, terms) == gamma_from_poly(p), (n, kind)
             assert terms_count(terms) == p(1), (n, kind)
+
+
+def test_gamma_follows_the_factorization():
+    """gamma and gamma_t read from the up-set keys of every composite n
+    below 3000 follow from the class graph's factorization alone: gamma
+    is 1 at n = p^alpha and 2p, whose vertex n/p or n/2 is joined to all
+    others, and omega(n) otherwise; gamma_t is 2 at n = p^alpha, but
+    undefined for the one vertex of n = 4, and omega(n) otherwise."""
+    composites = 0
+    for n in range(4, 3000):
+        cg = build_class_graph(n)
+        primes = [p for p, _ in cg.factorization.factors]
+        if primes == [n]:
+            continue
+        composites += 1
+        omega = len(primes)
+        gamma = 1 if omega == 1 or n == 2 * primes[-1] else omega
+        gamma_t = None if n == 4 else 2 if omega == 1 else omega
+        assert terms_gamma(cg, engine_terms(cg, ORD)) == gamma, n
+        assert terms_gamma(cg, engine_terms(cg, TOT)) == gamma_t, n
+    assert composites == 2568
 
 
 @pytest.mark.parametrize("n, ordinary, total", [
