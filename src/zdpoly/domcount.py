@@ -94,7 +94,8 @@ coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).
 So each command walks a kind's up-sets once and reads its table.
 
 The band reference in ``tests/band_reference.py`` enumerates per-class
-occupancy bands outright and shares no code with this engine.
+occupancy bands outright and shares no code with this engine; it brings its
+own polynomial product, since ``Polynomial`` has none.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
-"""Exact polynomial arithmetic over the integers.
+"""The integer polynomial the counting engines return.
 
 Coefficients are arbitrary-precision Python ints, stored densely in ascending
 degree order.  Instances are immutable and canonical: trailing zeros are
 stripped on construction, so equal polynomials compare (and hash) equal.
-The zero polynomial has an empty coefficient tuple.
+The zero polynomial has an empty coefficient tuple.  The engines sum term
+tables without a polynomial product, so the type carries only what results
+need: exact sums and differences (a formula minus the engine), evaluation,
+and rendering.
 """
 
 from __future__ import annotations
@@ -63,39 +66,11 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by x^k."""
-        if k < 0:
-            raise ValueError(f"shift requires k >= 0, got {k}")
-        if not self.coeffs:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
-
-    def __call__(self, x: int) -> int:
-        return evaluate_at(self, x)
-
     def __str__(self) -> str:
         return render(self)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-ZERO = Polynomial()
-ONE = Polynomial((1,))
 
 
 def binomial_expand(m: int) -> Polynomial:

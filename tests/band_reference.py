@@ -12,7 +12,10 @@ Every vertex subset of a class graph is described up to symmetry by one
 dominating ones and sums their band weights.  It derives adjacency from the
 class divisors itself (classes d and e are joined when n | d*e, and class d
 is a clique when n | d^2) rather than reading ``ClassGraph.neighbors``, and
-shares no code with the class engine, so the tests compare the two.
+shares no code with the class engine, so the tests compare the two.  It
+multiplies the band weights with its own dense ``product`` and adds the
+results as coefficient lists, since ``Polynomial`` has no product: the
+reference shares no arithmetic with ``src/``, only the constructor.
 """
 
 from __future__ import annotations
@@ -61,6 +64,15 @@ def band_weight(m: int, band: Band) -> Polynomial:
     return Polynomial((0,) * m + (1,))
 
 
+def product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Dense schoolbook product of two polynomials."""
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return Polynomial(out)
+
+
 def band_occupies(band: Band) -> bool:
     return band is not Band.ZERO
 
@@ -105,13 +117,15 @@ def pattern_valid(pattern: Sequence[Band], cg: ClassGraph,
 
 def reference_band_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Independent engine: enumerate every band assignment outright."""
-    total = Polynomial()
+    total: list[int] = []
     options = [bands_for_size(c.size) for c in cg.classes]
     for pattern in itertools.product(*options):
         if not pattern_valid(pattern, cg, kind):
             continue
         prod = Polynomial((1,))
         for c, band in zip(cg.classes, pattern):
-            prod = prod * band_weight(c.size, band)
-        total = total + prod
-    return total
+            prod = product(prod, band_weight(c.size, band))
+        total += [0] * (len(prod.coeffs) - len(total))
+        for i, c in enumerate(prod.coeffs):
+            total[i] += c
+    return Polynomial(total)

@@ -10,13 +10,15 @@ import sys
 import time
 from pathlib import Path
 
+from band_reference import product
+
 import zdpoly
 from zdpoly.cli import main as cli_main
 from zdpoly.closedform import closed_domination, closed_total_domination
 from zdpoly.domcount import (DominationKind, brute_force_poly,
                              class_engine_poly, gamma_from_poly)
 from zdpoly.numtheory import Family, classify_family, factorize
-from zdpoly.polyring import ONE, Polynomial, binomial_expand, evaluate_at
+from zdpoly.polyring import Polynomial, binomial_expand, evaluate_at
 from zdpoly.verify import (METHOD_BRUTE, METHOD_CLASSES, METHOD_CLOSED,
                            STATUS_ALL_AGREE, STATUS_MISMATCH, STATUS_PARTIAL,
                            run_verification)
@@ -244,7 +246,8 @@ def join_domination(d1, d2, n1, n2):
 
         ((1+x)^n1 - 1)((1+x)^n2 - 1) + d1 + d2
     """
-    cross = (binomial_expand(n1) - ONE) * (binomial_expand(n2) - ONE)
+    one = Polynomial([1])
+    cross = product(binomial_expand(n1) - one, binomial_expand(n2) - one)
     return cross + d1 + d2
 
 

@@ -42,6 +42,14 @@ def test_public_names_are_the_documented_set():
         assert getattr(zdpoly, name) is not None
 
 
+def test_polynomial_has_no_product():
+    """Polynomial is a result type: the class engine and the closed forms
+    sum term tables in (1+x)-powers, so with no product on the type they
+    stay product-free by construction.  The tests bring their own."""
+    assert not hasattr(Polynomial, "__mul__")
+    assert not hasattr(Polynomial, "shift")
+
+
 def test_import_does_not_load_numpy():
     """Neither importing the package nor running every method, brute force
     included, loads numpy: the package needs only the standard library."""

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 import zdpoly
-from zdpoly import cli, domcount, verify
-from zdpoly.domcount import DominationKind
+from zdpoly import cli, closedform, domcount, verify
 
 CMD = [sys.executable, "-m", "zdpoly.cli"]
 # The child process imports the same zdpoly that this test process imported.
@@ -286,33 +285,34 @@ def test_table_output_pinned(argv, digest):
     assert _sha256(res.stdout) == digest
 
 
-@pytest.mark.parametrize("argv, refused, digest", [
-    (("table", "2", "60"), tuple(DominationKind),
+@pytest.mark.parametrize("argv, sums, digest", [
+    (("table", "2", "60"), [],
      "d280d78dbe224ecf7610f70e8165478308aac39c4bceaf188ee3a8866a37a5e7"),
-    (("gamma", "2520"), tuple(DominationKind),
+    (("gamma", "2520"), [],
      "a1b72f88ce97749da14056a4ba5de8777fc35fb30f8921ed9978500cd6bbbf1e"),
-    # verify builds the polynomial of the kind it compares, and reads only
-    # gamma of the other kind.  Digest with the [ ... ms] timings blanked.
-    (("verify", "45", "--total"), (DominationKind.ORDINARY,),
+    # verify sums the D_t table it compares, by the class engine and by the
+    # closed form, and reads only gamma of D.  Digest with the [ ... ms]
+    # timings blanked.
+    (("verify", "45", "--total"), ["class-engine", "closed-form"],
      "fe2fa6027e1412b68b941e6f8ecf5b2b2c6a092728344cba1c89b54775e62f7b"),
 ], ids=["table", "gamma", "verify"])
-def test_numbers_read_without_polynomials(monkeypatch, capsys, argv, refused,
+def test_numbers_read_without_polynomials(monkeypatch, capsys, argv, sums,
                                           digest):
     """gamma, table and verify's other kind print what they printed while
-    they built polynomials, with the polynomial refused for those kinds."""
-    real = domcount.class_engine_poly
+    they built polynomials, with no term table summed for those numbers.
+    The class engine and the closed forms sum every polynomial they build by
+    ``sum_terms``, so each module that binds the name has it wrapped."""
+    real = domcount.sum_terms
+    summed = []
 
-    def engine(cg, kind):
-        if kind in refused:
-            raise AssertionError(f"built the {kind.value} polynomial")
-        return real(cg, kind)
+    def sum_terms(cg, terms, what):
+        summed.append(what)
+        return real(cg, terms, what)
 
-    # cli is patched as well, so that a command calling the engine through
-    # its own import is caught too.
-    for module in (cli, domcount, verify):
-        monkeypatch.setattr(module, "class_engine_poly", engine,
-                            raising=False)
+    for module in (domcount, verify, closedform):
+        monkeypatch.setattr(module, "sum_terms", sum_terms)
     assert cli.main(list(argv)) == 0
+    assert summed == sums
     out = re.sub(r"\[\s*[0-9.]+ ms\]", "[ms]", capsys.readouterr().out)
     assert _sha256(out) == digest
 

@@ -1,4 +1,5 @@
-"""Polynomial arithmetic: ring axioms, rendering, and helpers."""
+"""The result polynomial: canonical form, addition and subtraction,
+evaluation, rendering, and the binomial rows."""
 
 from math import comb
 
@@ -7,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zdpoly.domcount import gamma_from_poly
-from zdpoly.polyring import (ONE, ZERO, Polynomial, binomial_expand,
-                             evaluate_at, render)
+from zdpoly.polyring import Polynomial, binomial_expand, evaluate_at, render
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
+ZERO, ONE = Polynomial(), Polynomial([1])
 
 
 def test_canonicalization():
@@ -50,19 +51,17 @@ def test_add_commutes(a, b):
 
 @given(coeff_lists, coeff_lists, coeff_lists)
 def test_ring_axioms(a, b, c):
+    # The additive group's: the type has no product.
     pa, pb, pc = Polynomial(a), Polynomial(b), Polynomial(c)
-    assert (pa * pb) * pc == pa * (pb * pc)
     assert (pa + pb) + pc == pa + (pb + pc)
-    assert pa * (pb + pc) == pa * pb + pa * pc
-    assert pa * pb == pb * pa
+    assert (pa - pb) + pb == pa
+    assert pa - (pb + pc) == (pa - pb) - pc
 
 
 @given(coeff_lists)
 def test_identities(a):
     p = Polynomial(a)
     assert p + ZERO == p
-    assert p * ONE == p
-    assert p * ZERO == ZERO
     assert p + (-p) == ZERO
     assert p - p == ZERO
 
@@ -70,15 +69,14 @@ def test_identities(a):
 @given(coeff_lists, coeff_lists, st.integers(min_value=-9, max_value=9))
 def test_evaluation_is_ring_homomorphism(a, b, t):
     pa, pb = Polynomial(a), Polynomial(b)
-    assert evaluate_at(pa * pb, t) == evaluate_at(pa, t) * evaluate_at(pb, t)
     assert evaluate_at(pa + pb, t) == evaluate_at(pa, t) + evaluate_at(pb, t)
+    assert evaluate_at(pa - pb, t) == evaluate_at(pa, t) - evaluate_at(pb, t)
 
 
 def test_evaluate_matches_direct_sum():
     p = Polynomial([5, -3, 0, 7])
     for t in range(-5, 6):
         assert evaluate_at(p, t) == 5 - 3 * t + 7 * t ** 3
-    assert p(2) == 55
     assert evaluate_at(ZERO, 12) == 0
 
 
@@ -87,10 +85,6 @@ def test_binomial_expand():
         p = binomial_expand(m)
         assert p.coeffs == tuple(comb(m, i) for i in range(m + 1))
         assert evaluate_at(p, 1) == 2 ** m
-    acc = ONE
-    for m in range(1, 8):
-        acc = acc * Polynomial([1, 1])
-        assert acc == binomial_expand(m)
     with pytest.raises(ValueError):
         binomial_expand(-1)
 
@@ -103,14 +97,6 @@ def test_min_positive_degree():
     assert gamma_from_poly(Polynomial([7])) is None
     assert gamma_from_poly(Polynomial([0, 0, 3, 1])) == 2
     assert gamma_from_poly(Polynomial([4, 5])) == 1
-
-
-def test_shift():
-    assert Polynomial([1, 2]).shift(2).coeffs == (0, 0, 1, 2)
-    assert Polynomial([1]).shift(0) == ONE
-    assert ZERO.shift(3) == ZERO
-    with pytest.raises(ValueError):
-        Polynomial([1]).shift(-1)
 
 
 RENDER_CASES = [
