@@ -137,10 +137,10 @@ def cmd_table(args) -> int:
     rows = []
     status = EXIT_OK
     for n in range(lo, hi + 1):
-        cg = build_class_graph(n)
-        if cg.vertex_count == 0:
-            continue
         try:  # D first: its refusal is noted where both kinds are refused
+            cg = build_class_graph(n)
+            if cg.vertex_count == 0:
+                continue
             terms = {k: engine_terms(cg, k) for k in DominationKind}
         except CapacityError as exc:
             _note_capacity(exc)

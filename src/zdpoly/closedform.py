@@ -17,9 +17,9 @@ key of the class engine's up-set terms, and ``domcount.sum_terms`` sums a
 formula's terms as it sums the engine's, with no polynomial product.
 
 ``closed_form_poly`` reads a formula on the caller's class graph, as
-``domcount.class_engine_poly`` reads the engine's table.  It refuses before
-any formula runs: a family with no formula, a tag that is not the graph's
-classification, and a graph over zdgraph.VERTEX_LIMIT, whatever the caller.
+``domcount.class_engine_poly`` reads the engine's table.  It refuses a
+family with no formula and a tag that is not the graph's classification;
+``sum_terms`` refuses the table of any caller past its limits.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .domcount import DominationKind, sum_terms
 from .errors import UnsupportedFamilyError
 from .numtheory import Family, FamilyTag, classify_family
 from .polyring import Polynomial
-from .zdgraph import ClassGraph, build_class_graph, check_vertex_limit
+from .zdgraph import ClassGraph, build_class_graph
 
 
 def _psquareq_cases(p: int, q: int) -> list[tuple]:
@@ -141,11 +141,11 @@ def closed_form_poly(cg: ClassGraph, tag: FamilyTag,
                      kind: DominationKind) -> Polynomial:
     """The sum of the term table of the D (or, for TOTAL, the D_t) formula
     of the tag's family on ``cg``, checked before any of it runs:
-    UnsupportedFamilyError when the family has no formula, ValueError when
-    the tag is not ``classify_family(cg.factorization)``, and CapacityError
-    when the graph is over zdgraph.VERTEX_LIMIT.  ``sum_terms`` then refuses
-    the sum with CapacityError, before any row is built, when its counted
-    work is over domcount.ENGINE_WORK_LIMIT."""
+    UnsupportedFamilyError when the family has no formula and ValueError
+    when the tag is not ``classify_family(cg.factorization)``.  ``sum_terms``
+    then refuses the sum with CapacityError, before any row is built, when
+    the graph is over zdgraph.VERTEX_LIMIT and then when its counted work is
+    over domcount.ENGINE_WORK_LIMIT."""
     total = kind is DominationKind.TOTAL
     what = "total-domination" if total else "domination"
     if tag.family not in _FORMULAS:
@@ -153,7 +153,6 @@ def closed_form_poly(cg: ClassGraph, tag: FamilyTag,
             f"no closed-form {what} formula applies to n={cg.n}")
     if tag != classify_family(cg.factorization):
         raise ValueError(f"family tag {tag} is not the one of n={cg.n}")
-    check_vertex_limit(cg, "closed-form")
     return sum_terms(cg, _FORMULAS[tag.family][total](tag), "closed-form")
 
 

@@ -277,11 +277,12 @@ def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
 
 
 def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
-    """The sum of the terms {(shift, free, gens): signed count} as a
-    polynomial of degree at most ``cg.vertex_count``: the table
-    ``_assemble`` makes, summed to the stop it picks.  Raises CapacityError,
-    naming ``what`` refused it, when the sum's counted work is over
-    ENGINE_WORK_LIMIT, before any row is built."""
+    """The sum of the terms {(shift, free, gens): signed count}, of degree
+    at most ``cg.vertex_count``: the table ``_assemble`` makes, summed to
+    the stop it picks.  Every term table is summed, and refused, here, by
+    CapacityError naming ``what``: over zdgraph.VERTEX_LIMIT before the
+    fold, then over ENGINE_WORK_LIMIT of counted work before any row."""
+    check_vertex_limit(cg, what)
     nv = cg.vertex_count
     rows, work, stop = _assemble(terms, nv)
     if work > ENGINE_WORK_LIMIT:
@@ -323,8 +324,8 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     module docstring.  Raises CapacityError before any up-set walk: first
     (D only) when the widest rank level of the divisors implies more than
     ENGINE_UPSET_LIMIT up-sets, then (both kinds) past zdgraph.VERTEX_LIMIT
-    vertices; and during the walk, once it counts past ENGINE_UPSET_LIMIT.
-    """
+    vertices, the limit ``sum_terms`` holds, estimated here before the
+    walk; and during the walk, once it counts past ENGINE_UPSET_LIMIT."""
     if kind is DominationKind.ORDINARY:
         widest = _widest_rank_level(cg)
         if 1 << widest > ENGINE_UPSET_LIMIT:

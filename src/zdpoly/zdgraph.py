@@ -11,7 +11,7 @@ what the counting engine consumes; the expanded form exists for brute-force
 checks and DOT export.
 
 VERTEX_LIMIT caps every computation that builds data of size |V|:
-expansion, the class engine and the closed forms.
+expansion, and ``domcount.sum_terms``, which sums every term table.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from typing import NamedTuple
 from .errors import CapacityError
 from .numtheory import Factorization, factorize
 
-# Most vertices taken on by anything that builds |V|-sized data.  A counting
-# polynomial has |V| + 1 coefficients of up to |V| bits: for n = 70046
-# (35 023 vertices) the class engine peaks at 358 MB and `poly --json` at
-# 1.15 GB, where n = 720720 (582 479 vertices) would need over 100 GB.  An
-# expanded graph holds one |V|-bit set per vertex.
+# Most vertices taken on by expansion and by domcount.sum_terms, whatever
+# table it sums to a polynomial of |V| + 1 coefficients of up to |V| bits:
+# for n = 70046 (35 023 vertices) the class engine peaks at 358 MB and
+# `poly --json` at 1.15 GB, where n = 720720 (582 479 vertices) would need
+# over 100 GB.  An expanded graph holds one |V|-bit set per vertex.
 VERTEX_LIMIT = 50_000
 
 

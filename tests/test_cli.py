@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import zdpoly
-from zdpoly import cli, closedform, domcount, verify
+from zdpoly import cli, closedform, domcount, numtheory, verify
 
 CMD = [sys.executable, "-m", "zdpoly.cli"]
 # The child process imports the same zdpoly that this test process imported.
@@ -403,6 +403,19 @@ def test_table_prints_the_rows_it_answers(json_flag):
         answered = [int(line.split()[0])
                     for line in res.stdout.splitlines()[1:]]
     assert answered == [27718, 27719, 27721, 27722]
+
+
+def test_table_skips_an_n_it_cannot_factor(monkeypatch, capsys):
+    """table builds each class graph where it catches refusals, so an n
+    that trial division refuses costs its own row only: with the limit at
+    100, 10403 = 101 * 103 is refused and 10402 and 10404 answered."""
+    monkeypatch.setattr(numtheory, "TRIAL_DIVISION_LIMIT", 100)
+    assert cli.main(["table", "10402", "10404"]) == cli.EXIT_CAPACITY
+    out, err = capsys.readouterr()
+    assert err == ("zdpoly: capacity: factoring n=10403 needs trial "
+                   "division past the limit of 100\n")
+    assert [int(line.split()[0])
+            for line in out.splitlines()[1:]] == [10402, 10404]
 
 
 def test_table_empty_range_is_usage_error():

@@ -447,12 +447,12 @@ def test_tag_modulus_consistency_checked(n, tag):
 
 def test_library_callers_refused_before_any_work(monkeypatch):
     # n = 2 * 100003 and 2 * 50021 are 2p graphs of 100 003 and 50 021
-    # vertices: over the shared limit, so neither formula may sum its
-    # terms, whoever calls it.
-    def no_sum(*args):
+    # vertices: over the shared limit, so the term sum refuses either
+    # formula before it folds the terms, whoever calls it.
+    def no_fold(*args):
         raise AssertionError("a closed form ran over the vertex limit")
 
-    monkeypatch.setattr(cf, "sum_terms", no_sum)
+    monkeypatch.setattr(dc, "_assemble", no_fold)
     for closed, n, nv in ((closed_domination, 200006, 100003),
                           (closed_total_domination, 100042, 50021)):
         with pytest.raises(CapacityError) as err:

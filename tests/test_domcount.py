@@ -350,6 +350,23 @@ def test_engine_picks_the_cheaper_sum(n, kind, work, stop):
     assert work <= dc.ENGINE_WORK_LIMIT
 
 
+def test_term_sum_refuses_any_table_over_the_vertex_limit(monkeypatch):
+    """Every term table is summed by sum_terms, so it holds the vertex
+    limit for all of them, the class engine's and the closed forms' alike:
+    n = 2 * 100003 has 100 003 vertices, and a one-key table on its graph
+    is refused, named by the caller's tag, before it is folded."""
+    def no_fold(*args):
+        raise AssertionError("a table over the vertex limit was folded")
+
+    monkeypatch.setattr(dc, "_assemble", no_fold)
+    cg = build_class_graph(200006)
+    for what in ("class-engine", "closed-form"):
+        with pytest.raises(CapacityError) as err:
+            dc.sum_terms(cg, {(1, 0, ()): 1}, what)
+        assert str(err.value) == (f"n=200006 has 100003 vertices, over the "
+                                  f"{what} limit of {VERTEX_LIMIT}")
+
+
 @pytest.mark.parametrize("n, used, unused, kind", [
     (336, "_packed_horner_sum", "_window_horner_sum", ORD),  # 248-bit slots
     (2520, "_window_horner_sum", "_packed_horner_sum", ORD),  # 1952 bits
@@ -402,20 +419,20 @@ def test_packed_horner_slots_hold_wide_signed_coefficients(monkeypatch):
 @st.composite
 def signed_tables(draw, widths=(70,)):
     """(nv, rows): a random signed row table of degree at most nv <= 12,
-    with counts of up to a drawn one of ``widths`` bits, and every E and
+    with 1 to 20 (E, shift) pairs, E + shift <= nv, each count of exactly
+    a drawn one of ``widths`` bits with a random sign, and every E and
     every shift at least a drawn low bound each, so that often no row is
     (1+x)^0 and none starts at x^0."""
     nv = draw(st.integers(0, 12))
     bits = draw(st.sampled_from(widths))
     low_e = draw(st.integers(0, nv))
-    low = draw(st.integers(0, nv))
-    pairs = draw(st.dictionaries(
-        st.tuples(st.integers(low_e, nv), st.integers(low, nv)),
-        st.integers(-2 ** bits, 2 ** bits), max_size=20))
+    low = draw(st.integers(0, nv - low_e))
     rows = {}
-    for (e, shift), c in pairs.items():
-        if e + shift <= nv and c:
-            rows.setdefault(e, {})[shift] = c
+    for _ in range(draw(st.integers(1, 20))):
+        e = draw(st.integers(low_e, nv - low))
+        count = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+        rows.setdefault(e, {})[draw(st.integers(low, nv - e))] = (
+            count if draw(st.booleans()) else -count)
     return nv, rows
 
 
@@ -441,13 +458,30 @@ def test_window_horner_matches_flat_on_signed_tables(case):
 @given(signed_tables(widths=(70, 600)))
 def test_horner_sum_matches_flat_on_signed_tables(case):
     """At each of _assemble's three stops, above the top row, the lowest
-    row and x^0, the sum of random signed tables equals the flat sum,
-    packed (70-bit counts) and on the list window (600-bit counts, past
-    _PACKED_SLOT_BITS)."""
+    row and x^0, the sum of random signed tables equals the flat sum.
+    Horner runs at the two lower stops, packed on 70-bit counts and on the
+    list window on 600-bit counts, past _PACKED_SLOT_BITS."""
     nv, rows = case
+    wide = max(abs(c) for shifts in rows.values()
+               for c in shifts.values()).bit_length() > dc._PACKED_SLOT_BITS
+    used, unused = (("_window_horner_sum", "_packed_horner_sum") if wide
+                    else ("_packed_horner_sum", "_window_horner_sum"))
+    calls = Counter()
+
+    def spy(*args, horner=getattr(dc, used)):
+        calls[used] += 1
+        return horner(*args)
+
+    def no_sum(*args):
+        raise AssertionError(f"{unused} ran")
+
     flat = dc._flat_sum(rows, nv)
-    for stop in (max(rows, default=0) + 1, min(rows, default=0), 0):
-        assert dc._sum_rows(rows, nv, stop) == flat, stop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, used, spy)
+        mp.setattr(dc, unused, no_sum)
+        for stop in (max(rows) + 1, min(rows), 0):
+            assert dc._sum_rows(rows, nv, stop) == flat, stop
+    assert calls == {used: 2}
 
 
 def test_sums_match_flat_on_engine_tables():

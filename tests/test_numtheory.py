@@ -8,6 +8,7 @@ import pytest
 from totient_reference import totient
 
 from zdpoly import numtheory
+from zdpoly.errors import CapacityError
 from zdpoly.numtheory import Family, classify_family, factorize
 from zdpoly.zdgraph import build_class_graph
 
@@ -64,6 +65,33 @@ def test_small_n_is_factored_by_trial_division_alone(monkeypatch):
     monkeypatch.setattr(numtheory, "_proven_prime", no_test)
     for n in [*range(2, 20_000), 999_983, 999_999, 2 * 499_979, 10 ** 6]:
         factorize(n)
+
+
+@pytest.mark.parametrize("n", [
+    2_000_000_000_081_000_000_000_117,  # (10^12 + 39)(2 * 10^12 + 3)
+    3_317_044_064_679_887_385_962_123,  # the least prime past PSI_13
+], ids=["semiprime", "unproven-prime"])
+def test_factorize_refuses_past_the_trial_division_limit(n):
+    """Neither n has a factor up to the limit, and neither cofactor is
+    proven prime, so trial division would run on for hours: it refuses."""
+    with pytest.raises(CapacityError) as err:
+        factorize(n)
+    assert str(err.value) == (
+        f"factoring n={n} needs trial division past the limit of "
+        f"{numtheory.TRIAL_DIVISION_LIMIT}")
+
+
+def test_factorize_reaches_the_trial_division_limit(monkeypatch):
+    """39 999 983, the largest prime up to the limit, times the next prime
+    still factors.  With the limit at 1000, 997 * 1009 factors and
+    1009 * 1013, whose cofactor is over 10^6 and composite, is refused."""
+    assert numtheory.TRIAL_DIVISION_LIMIT == 40_000_000
+    p, q = 39_999_983, 40_000_003
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    monkeypatch.setattr(numtheory, "TRIAL_DIVISION_LIMIT", 1000)
+    assert factorize(997 * 1009).factors == ((997, 1), (1009, 1))
+    with pytest.raises(CapacityError, match="past the limit of 1000$"):
+        factorize(1009 * 1013)
 
 
 def test_proven_prime_matches_sympy():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import zdpoly.domcount as dc
-from zdpoly import cli, closedform, verify
+from zdpoly import cli, verify
 from zdpoly.domcount import DominationKind, engine_terms, terms_gamma
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial
@@ -113,11 +113,11 @@ def test_compute_dispatches_each_method(monkeypatch):
 
 def test_closed_form_refused_over_vertex_limit(monkeypatch):
     # n = 2 * 100003 is a 2p graph of 100 003 vertices: over the shared
-    # limit, so the formula must not sum its terms.
-    def no_sum(*args):
+    # limit, so the term sum must refuse the formula before the fold.
+    def no_fold(*args):
         raise AssertionError("ran a closed form over the vertex limit")
 
-    monkeypatch.setattr(closedform, "sum_terms", no_sum)
+    monkeypatch.setattr(dc, "_assemble", no_fold)
     with pytest.raises(CapacityError) as err:
         compute(METHOD_CLOSED, build_class_graph(200006), ORD)
     assert str(err.value) == ("n=200006 has 100003 vertices, over the "
