@@ -321,11 +321,11 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     and ``neighbors[k - 1 - j]`` is the up-set of class j.  D_t's
     generators are the partners n/p of the primes p | n, of p - 1 vertices
     each.  Each up-set contributes the product of the class weights in the
-    module docstring.  Raises CapacityError before any up-set walk: first
-    (D only) when the widest rank level of the divisors implies more than
-    ENGINE_UPSET_LIMIT up-sets, then (both kinds) past zdgraph.VERTEX_LIMIT
-    vertices, the limit ``sum_terms`` holds, estimated here before the
-    walk; and during the walk, once it counts past ENGINE_UPSET_LIMIT."""
+    module docstring.  Only D walks, so only D raises CapacityError: when
+    the widest rank level of the divisors implies over ENGINE_UPSET_LIMIT
+    up-sets, then past the zdgraph.VERTEX_LIMIT that ``sum_terms`` holds,
+    both before the walk, and once the walk counts past the up-set limit.
+    D_t's walk-free table is built at any size."""
     if kind is DominationKind.ORDINARY:
         widest = _widest_rank_level(cg)
         if 1 << widest > ENGINE_UPSET_LIMIT:
@@ -333,8 +333,7 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
                 f"n={cg.n} has {widest} divisor classes of one rank, so at "
                 f"least 2^{widest} up-sets, over the class-engine up-set "
                 f"limit of {ENGINE_UPSET_LIMIT}")
-    check_vertex_limit(cg, "class-engine")
-    if kind is DominationKind.ORDINARY:
+        check_vertex_limit(cg, "class-engine")
         return _upset_terms(cg.n, cg.neighbors[::-1],
                             [c.size for c in cg.classes])
     # With U all classes, every class but the generators n/p is free.  A

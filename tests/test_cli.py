@@ -328,19 +328,27 @@ def test_prints_counts_past_default_digit_limit():
 
 
 def test_verify_over_vertex_limit_skips_every_method():
-    res = run_cli("verify", "200006", "--json")
-    assert res.returncode == 0, res.stderr
-    payload = json.loads(res.stdout)
-    skipped = {m: entry["skipped"] for m, entry in payload["methods"].items()}
-    assert skipped == {
-        "brute": "100003 vertices exceeds the brute-force limit of 40",
-        "classes": ("n=200006 has 100003 vertices, over the class-engine "
-                    "limit of 50000"),
-        "closed": ("n=200006 has 100003 vertices, over the closed-form "
-                   "limit of 50000"),
-    }
-    assert payload["agreement"]["compared"] == []
-    assert payload["gamma"] is None and payload["gamma_total"] is None
+    """Past the vertex limit every method is skipped and D's walk is
+    refused, but D_t's table walks nothing, so gamma_t is read from it:
+    2 at n = p^alpha and omega(n) otherwise."""
+    for n, nv, omega in ((200006, 100003, 2),        # 2p, p = 100003
+                         (177147, 59048, 1),         # 3^11
+                         (10002200057, 200020, 2)):  # 100003 * 100019
+        res = run_cli("verify", str(n), "--json")
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        skipped = {m: entry["skipped"]
+                   for m, entry in payload["methods"].items()}
+        assert skipped == {
+            "brute": f"{nv} vertices exceeds the brute-force limit of 40",
+            "classes": (f"n={n} has {nv} vertices, over the class-engine "
+                        "limit of 50000"),
+            "closed": (f"n={n} has {nv} vertices, over the closed-form "
+                       "limit of 50000"),
+        }, n
+        assert payload["agreement"]["compared"] == [], n
+        assert payload["gamma"] is None, n
+        assert payload["gamma_total"] == (2 if omega == 1 else omega), n
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),

@@ -278,12 +278,18 @@ def test_engine_class_capacity(monkeypatch):
                     f"n={n} has {widest} divisor classes of one rank, so at "
                     f"least 2^{widest} up-sets, over the class-engine up-set "
                     f"limit of {limit}")
-        # 720720 has 582 479 vertices, which refuses D_t.  100800's widest
-        # level has 18 divisors, within the rank bound, but its 77 759
-        # vertices refuse D before the walk.
-        for n, kind, nv in ((720720, TOT, 582479), (100800, ORD, 77759)):
+        # D_t walks nothing, so its table of 720720 is built at any size:
+        # one key, the product over the six generators n/p.  Only the sum
+        # refuses its 582 479 vertices.  100800's widest level has 18
+        # divisors, within the rank bound, but its 77 759 vertices refuse D
+        # before the walk.
+        cg = build_class_graph(720720)
+        assert engine_terms(cg, TOT) == {(0, 582444, (1, 2, 4, 6, 10, 12)): 1}
+        for n, kind, nv, engines in (
+                (720720, TOT, 582479, (class_engine_poly,)),
+                (100800, ORD, 77759, (class_engine_poly, engine_terms))):
             cg = build_class_graph(n)
-            for engine in (class_engine_poly, engine_terms):
+            for engine in engines:
                 with pytest.raises(CapacityError) as err:
                     engine(cg, kind)
                 assert str(err.value) == (
