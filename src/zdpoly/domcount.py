@@ -57,32 +57,27 @@ the generator sizes multiplies out to signed powers (1+x)^E, with E = free
 + the sizes of a subset of the generators: the (1+x)-power form of
 D(G, x) = sum over W of (-1)^|W| (1+x)^(|V| - |N[W]|) (Kotek, Preen, Simon,
 Tittmann and Trinks, Electron. J. Combin. 19(3), 2012).  Merged over the
-terms, they make a row table {E: {shift: signed count}}, summed one way:
-Horner in (1+x) from the largest E down to a stop row, then one flat pass.
-Horner adds Q_E(x) = sum of count * x^shift at each row and multiplies by
+terms, they make a row table {E: {shift: signed count}}, summed by the
+cheaper of two plans, priced from the table before any row is built.  The
+flat sum expands each row (1+x)^E once (a multiply and a floor division
+per coefficient) and adds it times its count at each shift (a multiply
+and an add).  Horner in (1+x) runs from the largest E down to the lowest,
+adding Q_E(x) = sum of count * x^shift at each row and multiplying by
 (1+x) for each unit step of E, one add per live coefficient from x^0 up;
-its sum R(x) times (1+x)^stop is the sum of the rows at or above the stop.
-The flat pass expands each row below the stop, and R as the row at the
-stop, (1+x)^E once (a multiply and a floor division per coefficient) and
-adds it times its count at each shift (a multiply and an add), so it
-counts 2 * (E+1) per row and per (E, shift) pair.  Three stops are priced
-from the table before any row is built, and the cheapest is taken: above
-the top row, the flat sum alone; the lowest row; and x^0, Horner alone.
-Horner wins when many shifts recur over many E (n = 2520: 1.9 M against
-20 M), the flat sum when there are few rows and E is large (prime powers,
-n = 2p).  Every D table has a row at E = 0, so its two Horner stops are
-one.  D_t has 2^omega(n) rows at shift 0 (and, at n = p^alpha, the x
-term), spanning only E_min ... E_min + sum (p - 1): it stops at its lowest
-row when its primes are many and small (n = 336, 2520, 9828), at x^0 when
-E_min is small too (n = 12 to 78), and is summed flat when one prime is
-large (n = 2 * 3 * 17).  Horner holds its coefficients in one of two
-ways, picked from the table: a list with one add per live coefficient,
-or, while the coefficients are narrow, one integer, the sum at x = 2^w
-for a slot width w bound by the counts (Kronecker substitution), where a
-unit step is two big-int operations, a shift and an add, and each row
-adds its Q_E(2^w) once.  The packed steps cost more the wider the slots,
-so the list takes over past _PACKED_SLOT_BITS (n = 336 sums packed, 2520
-on the list).
+one flat row finishes it when the lowest row is above x^0, as it never is
+for D.  Horner wins when many shifts recur over many E (n = 2520: 1.9 M
+against 20 M), the flat sum when there are few rows and E is large (prime
+powers, n = 2p).  D_t has 2^omega(n) rows at shift 0 (and, at n =
+p^alpha, the x term), spanning only E_min ... E_min + sum (p - 1): Horner
+wins when its primes are many and small (n = 336, 2520, 9828), the flat
+sum when one is large (n = 2 * 3 * 17).  Horner holds its coefficients in
+one of two ways, picked from the table: a list with one add per live
+coefficient, or, while the coefficients are narrow, one integer, the sum
+at x = 2^w for a slot width w bound by the counts (Kronecker
+substitution), where a unit step is two big-int operations, a shift and
+an add, and each row adds its Q_E(2^w) once.  The packed steps cost more
+the wider the slots, so the list takes over past _PACKED_SLOT_BITS
+(n = 336 sums packed, 2520 on the list).
 
 ``terms_gamma`` reads the domination number from the up-set keys (shift,
 free size, generator sizes) without building a polynomial.  With no
@@ -102,7 +97,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import chain
-from operator import add, getitem, itemgetter
+from operator import add, getitem
 
 from .errors import CapacityError
 from .polyring import Polynomial, binomial_expand
@@ -118,13 +113,13 @@ from .zdgraph import ClassGraph, VertexGraph, check_vertex_limit
 ENGINE_UPSET_LIMIT = 1_500_000
 
 # Most work sum_terms takes on to sum the binomial rows, for the class
-# engine and the closed forms alike: the count of the cheapest stop (see
+# engine and the closed forms alike: the count of the cheaper plan (see
 # _assemble), checked before any row is built.  A unit costs about
 # 0.1-0.4 us on the same machine, the more the wider the coefficients, so
 # this is about 10 s at |V| = 7 235 (n = 9828 counts 26.2 M).  No closed
 # form within zdgraph.VERTEX_LIMIT comes near it: one has at most 27
 # (E, shift) pairs (n = pqr), each counting at most 4 * (|V| + 1) in the
-# flat sum, so at most 5.4 M, whatever Horner's counts at its other stops.
+# flat sum, so at most 5.4 M, whatever Horner counts.
 ENGINE_WORK_LIMIT = 30_000_000
 
 # The brute-force limit: most vertices brute force takes.  Per kind, D and
@@ -272,24 +267,28 @@ def _meet_masks(conditions, bits):
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
     the sum of the term table of ``engine_terms``.  Raises CapacityError
-    as ``engine_terms`` and ``sum_terms`` do."""
+    as ``engine_terms`` and ``sum_terms`` do, and for D past
+    zdgraph.VERTEX_LIMIT between ``check_upset_estimate`` and the walk."""
+    if kind is DominationKind.ORDINARY:
+        check_upset_estimate(cg)
+        check_vertex_limit(cg, "class-engine")
     return sum_terms(cg, engine_terms(cg, kind), "class-engine")
 
 
 def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
     """The sum of the terms {(shift, free, gens): signed count}, of degree
-    at most ``cg.vertex_count``: the table ``_assemble`` makes, summed to
-    the stop it picks.  Every term table is summed, and refused, here, by
+    at most ``cg.vertex_count``: the table ``_assemble`` makes, summed by
+    the plan it picks.  Every term table is summed, and refused, here, by
     CapacityError naming ``what``: over zdgraph.VERTEX_LIMIT before the
     fold, then over ENGINE_WORK_LIMIT of counted work before any row."""
     check_vertex_limit(cg, what)
     nv = cg.vertex_count
-    rows, work, stop = _assemble(terms, nv)
+    rows, work, flat = _assemble(terms, nv)
     if work > ENGINE_WORK_LIMIT:
         raise CapacityError(
             f"summing the binomial rows for n={cg.n} counts {work} "
             f"operations, over the {what} work limit of {ENGINE_WORK_LIMIT}")
-    return _sum_rows(rows, nv, stop)
+    return _sum_rows(rows, nv, flat)
 
 
 def terms_count(terms: dict) -> int:
@@ -321,19 +320,11 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     and ``neighbors[k - 1 - j]`` is the up-set of class j.  D_t's
     generators are the partners n/p of the primes p | n, of p - 1 vertices
     each.  Each up-set contributes the product of the class weights in the
-    module docstring.  Only D walks, so only D raises CapacityError: when
-    the widest rank level of the divisors implies over ENGINE_UPSET_LIMIT
-    up-sets, then past the zdgraph.VERTEX_LIMIT that ``sum_terms`` holds,
-    both before the walk, and once the walk counts past the up-set limit.
-    D_t's walk-free table is built at any size."""
+    module docstring.  Only D walks, so only D raises CapacityError: by
+    ``check_upset_estimate`` before the walk, and once it counts past
+    ENGINE_UPSET_LIMIT.  Neither kind builds anything of size |V|."""
     if kind is DominationKind.ORDINARY:
-        widest = _widest_rank_level(cg)
-        if 1 << widest > ENGINE_UPSET_LIMIT:
-            raise CapacityError(
-                f"n={cg.n} has {widest} divisor classes of one rank, so at "
-                f"least 2^{widest} up-sets, over the class-engine up-set "
-                f"limit of {ENGINE_UPSET_LIMIT}")
-        check_vertex_limit(cg, "class-engine")
+        check_upset_estimate(cg)
         return _upset_terms(cg.n, cg.neighbors[::-1],
                             [c.size for c in cg.classes])
     # With U all classes, every class but the generators n/p is free.  A
@@ -343,6 +334,17 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     if len(gens) == 1:
         terms[1, 0, ()] = -gens[0]
     return terms
+
+
+def check_upset_estimate(cg: ClassGraph) -> None:
+    """Raise CapacityError when the widest rank level of the divisors of
+    cg.n implies over ENGINE_UPSET_LIMIT up-sets for D's walk."""
+    widest = _widest_rank_level(cg)
+    if 1 << widest > ENGINE_UPSET_LIMIT:
+        raise CapacityError(
+            f"n={cg.n} has {widest} divisor classes of one rank, so at "
+            f"least 2^{widest} up-sets, over the class-engine up-set "
+            f"limit of {ENGINE_UPSET_LIMIT}")
 
 
 def _bits(mask):
@@ -422,14 +424,14 @@ def _upset_terms(n, up, sizes):
 
 
 def _assemble(terms, nv):
-    """(rows, work, stop) for the terms {(shift, free, gens): count}: the
-    row table {E: {shift: signed count of x^shift * (1+x)^E}}, and the
-    cheapest of three stops for _sum_rows, with its count.  The flat pass
-    counts 2 * (E+1) per row and per (E, shift) pair; Horner, at each unit
-    step of E down to the stop, one add per coefficient from x^0 up to the
-    highest degree, reach, its rows have reached, which stays put below
-    the lowest row, low.  Above the top row only the flat pass counts; at
-    x^0 only Horner; at low > 0 both, R as a row at reach - low + 1 shifts.
+    """(rows, work, flat) for the terms {(shift, free, gens): count}: the
+    row table {E: {shift: signed count of x^shift * (1+x)^E}}, the count
+    of the cheaper plan for _sum_rows, and whether it is the flat sum (a
+    tie goes flat).  The flat sum counts 2 * (E+1) per row and per
+    (E, shift) pair; Horner, at each unit step of E down to the lowest
+    row, low, one add per coefficient from x^0 up to the highest degree,
+    reach, its rows have reached, and above x^0 one flat row at
+    reach - low + 1 shifts.
 
     The keys are grouped by ``gens`` into tables of (E, shift) entries,
     starting at E = free.  Going from the longest ``gens`` down, each
@@ -459,46 +461,41 @@ def _assemble(terms, nv):
         if c:
             e, shift = divmod(key, width)
             rows.setdefault(e, {})[shift] = c
-    top = max(rows, default=0)
+    flat = sum((e + 1) * (2 * len(shifts) + 2) for e, shifts in rows.items())
     low = min(rows, default=0)
-    plans = [(sum((e + 1) * (2 * len(shifts) + 2)
-                  for e, shifts in rows.items()), top + 1)]
-    steps = reach = 0
-    for e in range(top, low, -1):
+    horner = reach = 0
+    for e in range(max(rows, default=0), low, -1):
         if e in rows:
             reach = max(reach, e + max(rows[e]))
-        steps += reach - e + 1
+        horner += reach - e + 1
     if low:
         reach = max(reach, low + max(rows[low]))
-        plans.append((steps + (low + 1) * (2 * (reach - low + 1) + 2), low))
-    plans.append((steps + low * (reach + 1) - low * (low + 1) // 2, 0))
-    return (rows, *min(plans, key=itemgetter(0)))
+        horner += (low + 1) * (2 * (reach - low + 1) + 2)
+    return rows, min(flat, horner), flat <= horner
 
 
-def _sum_rows(rows, nv, stop):
-    """The sum of ``rows``: Horner in (1+x) from the largest E down to row
-    ``stop``, on the rows at or above it shifted down by it, over nv - stop
-    degrees, then one _flat_sum pass over the rows below it and Horner's
-    result R as the row at it; at stop 0, R is the sum, and past the top
-    row the pass is the flat sum alone.  No coefficient of Horner's sums
-    is larger than the sum of |count| * 2^(E - stop), so slots of that
-    many bits and a sign bit, in whole bytes, hold them: up to
-    _PACKED_SLOT_BITS, Horner runs on one integer, ``_packed_horner_sum``,
-    and past it on a list, ``_window_horner_sum``."""
-    upper = {e - stop: shifts for e, shifts in rows.items() if e >= stop}
-    if upper:
-        bound = sum(sum(map(abs, shifts.values())) << e
-                    for e, shifts in upper.items())
-        slot = bound.bit_length() // 8 + 1
-        if 8 * slot <= _PACKED_SLOT_BITS:
-            rest = _packed_horner_sum(upper, nv - stop, slot)
-        else:
-            rest = _window_horner_sum(upper, nv - stop)
-        if not stop:
-            return rest
-        rows = {e: shifts for e, shifts in rows.items() if e < stop}
-        rows[stop] = {d: c for d, c in enumerate(rest.coeffs) if c}
-    return _flat_sum(rows, nv)
+def _sum_rows(rows, nv, flat):
+    """The sum of ``rows``: the flat sum when ``flat``, else Horner in
+    (1+x) from the largest E down to the lowest, low, on the rows shifted
+    down by it, finished above x^0 by its result R as one flat row at low.
+    No coefficient of Horner's is larger than the sum of |count| *
+    2^(E - low), so slots of that many bits and a sign bit, in whole
+    bytes, hold them: up to _PACKED_SLOT_BITS, Horner runs on one integer,
+    ``_packed_horner_sum``, and past it on a list, ``_window_horner_sum``."""
+    if flat:
+        return _flat_sum(rows, nv)
+    low = min(rows)
+    rows = {e - low: shifts for e, shifts in rows.items()}
+    bound = sum(sum(map(abs, shifts.values())) << e
+                for e, shifts in rows.items())
+    slot = bound.bit_length() // 8 + 1
+    if 8 * slot <= _PACKED_SLOT_BITS:
+        r = _packed_horner_sum(rows, nv - low, slot)
+    else:
+        r = _window_horner_sum(rows, nv - low)
+    if low:
+        r = _flat_sum({low: {d: c for d, c in enumerate(r.coeffs) if c}}, nv)
+    return r
 
 
 def _flat_sum(rows, nv):

@@ -328,12 +328,15 @@ def test_prints_counts_past_default_digit_limit():
 
 
 def test_verify_over_vertex_limit_skips_every_method():
-    """Past the vertex limit every method is skipped and D's walk is
-    refused, but D_t's table walks nothing, so gamma_t is read from it:
-    2 at n = p^alpha and omega(n) otherwise."""
-    for n, nv, omega in ((200006, 100003, 2),        # 2p, p = 100003
-                         (177147, 59048, 1),         # 3^11
-                         (10002200057, 200020, 2)):  # 100003 * 100019
+    """Past the vertex limit every method is skipped, but neither kind's
+    table holds anything of size |V|, so both gammas are read from them,
+    as test_gamma_follows_the_factorization has them: gamma is 1 at
+    n = p^alpha and 2p, and gamma_t 2 at p^alpha; both are omega(n)
+    otherwise."""
+    for n, nv, gamma, gamma_t in (
+            (200006, 100003, 1, 2),         # 2p, p = 100003
+            (177147, 59048, 1, 2),          # 3^11
+            (10002200057, 200020, 2, 2)):   # 100003 * 100019
         res = run_cli("verify", str(n), "--json")
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
@@ -347,8 +350,8 @@ def test_verify_over_vertex_limit_skips_every_method():
                        "limit of 50000"),
         }, n
         assert payload["agreement"]["compared"] == [], n
-        assert payload["gamma"] is None, n
-        assert payload["gamma_total"] == (2 if omega == 1 else omega), n
+        assert payload["gamma"] == gamma, n
+        assert payload["gamma_total"] == gamma_t, n
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),
@@ -393,6 +396,13 @@ def test_gamma_reaches_5040(capsys):
     so gamma answers."""
     assert cli.main(["gamma", "5040"]) == 0
     assert capsys.readouterr().out == "gamma=4 gamma_total=4\n"
+
+
+def test_gamma_reads_past_the_vertex_limit(capsys):
+    """200006 = 2 * 100003 has 100 003 vertices, but D's walk visits four
+    up-sets and D_t walks nothing, so gamma answers."""
+    assert cli.main(["gamma", "200006"]) == 0
+    assert capsys.readouterr().out == "gamma=1 gamma_total=2\n"
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
@@ -467,3 +477,30 @@ def test_each_command_factorizes_n_once(monkeypatch, capsys):
             capsys.readouterr()
             assert status in (cli.EXIT_OK, cli.EXIT_UNSUPPORTED), argv
             assert calls == {"factorize": 1, "build_class_graph": 1}, argv
+
+
+def test_main_keeps_no_state_between_calls(monkeypatch, capsys):
+    """Each argv, run twice in one process, prints the same and returns the
+    same status both times, verify's timings aside: help, usage errors and
+    one op per benchmark command.  The whole list runs before it runs
+    again, so a parser reused across calls, as a cache of build_parser
+    would reuse it, must not carry one command's state into another."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["--help"],
+             *([command, "--help"]
+               for command in ("poly", "verify", "graph", "gamma", "table")),
+             [], ["poly", "abc"],
+             ["table", "240", "240"], ["poly", "336", "--json"],
+             ["gamma", "336"], ["verify", "36", "--json", "--total"]]
+
+    def run(argv):
+        status = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        if argv[:1] == ["verify"] and "--json" in argv:
+            out = json.loads(out)
+            del out["timings_ms"]
+        return status, out, err
+
+    first = [run(argv) for argv in argvs]
+    assert [run(argv) for argv in argvs] == first
+    assert [status for status, _, _ in first] == [0] * 6 + [1, 1] + [0] * 4

@@ -400,22 +400,19 @@ def test_readme_findings_table():
 # --- dispatch edges --------------------------------------------------------
 
 def test_closed_form_sums_match_flat():
-    """For every family member up to AUDIT_BOUND, both kinds, the sum to
-    the stop the counts pick and Horner's sum to the lowest row equal the
-    flat sum of the formula's rows.  The D_t tables of p^2q and pqr start
-    above (1+x)^0, so there Horner stops at their lowest row and one
-    binomial row finishes."""
+    """For every family member up to AUDIT_BOUND, both kinds, Horner's
+    sum to the lowest row equals the flat sum of the formula's rows,
+    whichever plan the counts pick.  The D_t tables of p^2q and pqr start
+    above (1+x)^0, so there one binomial row finishes Horner's sum."""
     tails = Counter()
     for n, tag in family_members():
         nv = build_class_graph(n).vertex_count
         for kind in (ORD, TOT):
             terms = cf._FORMULAS[tag.family][kind is TOT](tag)
-            rows, _, stop = dc._assemble(terms, nv)
-            low = min(rows, default=0)
-            flat = dc._flat_sum(rows, nv)
-            for at in {stop, low}:
-                assert dc._sum_rows(rows, nv, at) == flat, (n, kind)
-            if low:
+            rows = dc._assemble(terms, nv)[0]
+            assert (dc._sum_rows(rows, nv, False)
+                    == dc._flat_sum(rows, nv)), (n, kind)
+            if min(rows):
                 tails[tag.family, kind] += 1
     assert tails == {(Family.P_SQUARE_Q, TOT): 108, (Family.PQR, TOT): 135}
 

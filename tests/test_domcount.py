@@ -278,23 +278,23 @@ def test_engine_class_capacity(monkeypatch):
                     f"n={n} has {widest} divisor classes of one rank, so at "
                     f"least 2^{widest} up-sets, over the class-engine up-set "
                     f"limit of {limit}")
-        # D_t walks nothing, so its table of 720720 is built at any size:
-        # one key, the product over the six generators n/p.  Only the sum
-        # refuses its 582 479 vertices.  100800's widest level has 18
-        # divisors, within the rank bound, but its 77 759 vertices refuse D
-        # before the walk.
+        # Neither table holds anything of size |V|, so engine_terms builds
+        # both at any size: D_t's of 720720 is one key, the product over
+        # the six generators n/p, and 100800, whose widest level has 18
+        # divisors, within the rank bound, reaches D's walk.  The
+        # polynomial has |V| + 1 coefficients, so class_engine_poly refuses
+        # 720720's 582 479 vertices in the sum and 100800's 77 759 before
+        # D's walk.
         cg = build_class_graph(720720)
         assert engine_terms(cg, TOT) == {(0, 582444, (1, 2, 4, 6, 10, 12)): 1}
-        for n, kind, nv, engines in (
-                (720720, TOT, 582479, (class_engine_poly,)),
-                (100800, ORD, 77759, (class_engine_poly, engine_terms))):
-            cg = build_class_graph(n)
-            for engine in engines:
-                with pytest.raises(CapacityError) as err:
-                    engine(cg, kind)
-                assert str(err.value) == (
-                    f"n={n} has {nv} vertices, over the class-engine limit "
-                    f"of {VERTEX_LIMIT}")
+        with pytest.raises(AssertionError, match="the up-sets were walked"):
+            engine_terms(build_class_graph(100800), ORD)
+        for n, kind, nv in ((720720, TOT, 582479), (100800, ORD, 77759)):
+            with pytest.raises(CapacityError) as err:
+                class_engine_poly(build_class_graph(n), kind)
+            assert str(err.value) == (
+                f"n={n} has {nv} vertices, over the class-engine limit of "
+                f"{VERTEX_LIMIT}")
     # Below the bound the walk counts: 2520's widest level has 11 divisors
     # (2^11 = 2 048 up-sets at least) and it has 59 540 up-sets.
     monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", 10_000)
@@ -328,31 +328,34 @@ def test_engine_work_limit_refuses_before_rows(monkeypatch, kind, work):
 
 
 @pytest.mark.parametrize("n, kind, work, stop", [
-    (12, TOT, 28, 0),  # lowest row, 4: 56
-    (60, TOT, 694, 36),  # the lowest row; x^0: 946, flat: 1 296
-    (78, TOT, 1431, 0),  # lowest row, 38: 1 446
+    (12, TOT, 56, 4),  # flat: 104
+    (60, TOT, 694, 36),  # flat: 1 296
+    (78, TOT, 1446, 38),  # flat: 1 488
     (288, ORD, 18336, 0),  # flat: 25 712
     (336, ORD, 28680, 0),  # flat: 72 258
-    (336, TOT, 5127, 230),  # the lowest row; flat: 7 536
+    (336, TOT, 5127, 230),  # flat: 7 536
     (696, ORD, 111156, 0),  # flat: 111 858
     (1590, ORD, 688551, 0),  # flat: 694 358
     (9828, ORD, 26176230, 0),  # flat: 281 757 096
-    (20014, ORD, 80076, 10008),  # above the top row; Horner: over 50 M
+    (20014, ORD, 80076, 10008),  # the flat sum; Horner: over 50 M
 ])
 def test_engine_picks_the_cheaper_sum(n, kind, work, stop):
-    """The stop the counted work picks, and its count, which the work
+    """The plan the counted work picks, and its count, which the work
     limit admits: 9828 and 20014 are in reach only through the choice.
-    The flat count includes expanding each row, so 288 takes Horner, the
-    faster there.  Horner's counted adds alone pick it at 60 D_t, 696 and
-    1590, where it took 0.4-0.7 times the flat sum's time (2-core Xeon).
-    D_t's rows start at E = |V| - sum (p - 1), so Horner may stop there
-    and one row finish: 336 D_t took 0.18-0.22 ms so, against 0.41-0.52
-    flat.  At 12 and 78 D_t, whose lowest rows are low, Horner runs on to
-    x^0: the sum took 9-10 us against 11-12 to the lowest row at 12, and
-    33-34 against 60-63 at 78 (best of nine, three runs)."""
+    ``stop`` is the lowest row, where Horner stops, or one above the top
+    row where the flat sum is picked.  The flat count includes expanding
+    each row, so 288 takes Horner, the faster there.  Horner's counted
+    adds alone pick it at 60 D_t, 696 and 1590, where it took 0.4-0.7
+    times the flat sum's time (2-core Xeon).  D_t's rows start at
+    E = |V| - sum (p - 1), so Horner stops there and one row finishes:
+    336 D_t took 0.18-0.22 ms so, against 0.41-0.52 flat.  At 12 and 78
+    D_t, whose lowest rows are low, running Horner on to x^0 instead took
+    9-10 us against 11-12 at 12, and 33-36 against 59-64 at 78 (best of
+    nine, three runs, Python 3.11): too little to keep a third plan for."""
     cg = build_class_graph(n)
-    terms = dc.engine_terms(cg, kind)
-    assert dc._assemble(terms, cg.vertex_count)[1:] == (work, stop)
+    rows, got, flat = dc._assemble(dc.engine_terms(cg, kind),
+                                   cg.vertex_count)
+    assert (got, max(rows) + 1 if flat else min(rows)) == (work, stop)
     assert work <= dc.ENGINE_WORK_LIMIT
 
 
@@ -417,7 +420,7 @@ def test_packed_horner_slots_hold_wide_signed_coefficients(monkeypatch):
     rows = {6: {0: 3000}, 4: {1: -5000, 2: 7}, 1: {3: 11},
             0: {5: -10 ** 6, 6: 1}}
     monkeypatch.setattr(dc, "_window_horner_sum", _no_window)
-    got = dc._sum_rows(rows, 6, 0)
+    got = dc._sum_rows(rows, 6, False)
     assert got == dc._flat_sum(rows, 6)
     assert got.coeffs == (3000, 13000, 25007, 30039, 25053, -986972, 3008)
 
@@ -449,7 +452,7 @@ def test_packed_horner_matches_flat_on_signed_tables(case):
     nv, rows = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dc, "_window_horner_sum", _no_window)
-        assert dc._sum_rows(rows, nv, 0) == dc._flat_sum(rows, nv)
+        assert dc._sum_rows(rows, nv, False) == dc._flat_sum(rows, nv)
 
 
 @settings(max_examples=200, deadline=None)
@@ -463,10 +466,10 @@ def test_window_horner_matches_flat_on_signed_tables(case):
 @settings(max_examples=300, deadline=None)
 @given(signed_tables(widths=(70, 600)))
 def test_horner_sum_matches_flat_on_signed_tables(case):
-    """At each of _assemble's three stops, above the top row, the lowest
-    row and x^0, the sum of random signed tables equals the flat sum.
-    Horner runs at the two lower stops, packed on 70-bit counts and on the
-    list window on 600-bit counts, past _PACKED_SLOT_BITS."""
+    """By either of _assemble's plans, the flat sum alone or Horner to
+    the lowest row, the sum of random signed tables equals the flat sum.
+    Horner runs packed on 70-bit counts and on the list window on 600-bit
+    counts, past _PACKED_SLOT_BITS."""
     nv, rows = case
     wide = max(abs(c) for shifts in rows.values()
                for c in shifts.values()).bit_length() > dc._PACKED_SLOT_BITS
@@ -485,32 +488,29 @@ def test_horner_sum_matches_flat_on_signed_tables(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dc, used, spy)
         mp.setattr(dc, unused, no_sum)
-        for stop in (max(rows) + 1, min(rows), 0):
-            assert dc._sum_rows(rows, nv, stop) == flat, stop
-    assert calls == {used: 2}
+        for plan in (True, False):
+            assert dc._sum_rows(rows, nv, plan) == flat, plan
+    assert calls == {used: 1}
 
 
 def test_sums_match_flat_on_engine_tables():
     """For every engine table with n below 1500 whose rows start above
-    (1+x)^0, the sum to the stop the counts pick, and Horner's sum to the
-    lowest row finished by one binomial row, equal the flat sum of the
-    same rows.  Those are the D_t tables but those of prime powers and
-    2p.  Every D table has a row at (1+x)^0, so its sums are the ones
+    (1+x)^0, Horner's sum to the lowest row finished by one binomial row
+    equals the flat sum of the same rows, whichever plan the counts pick.
+    Those are the D_t tables but those of prime powers and 2p.  Every D
+    table has a row at (1+x)^0, so its sums are the ones
     test_engine_matches_flat_reference checks."""
     tails = 0
     for n in range(2, 1500):
         cg = build_class_graph(n)
         nv = cg.vertex_count
         for kind in (ORD, TOT):
-            rows, _, stop = dc._assemble(engine_terms(cg, kind), nv)
-            low = min(rows, default=0)
-            if low:
+            rows = dc._assemble(engine_terms(cg, kind), nv)[0]
+            if min(rows, default=0):
                 assert kind is TOT, n
                 tails += 1
-                flat = dc._flat_sum(rows, nv)
-                for at in {stop, low}:
-                    if at <= max(rows):  # above it, _sum_rows is _flat_sum
-                        assert dc._sum_rows(rows, nv, at) == flat, n
+                assert (dc._sum_rows(rows, nv, False)
+                        == dc._flat_sum(rows, nv)), n
     assert tails == 807
 
 
@@ -653,14 +653,14 @@ def test_upset_walk_matches_reference(monkeypatch):
 
 def test_engine_matches_flat_reference(monkeypatch):
     """Every n below 1200, both kinds, against the flat reference on the
-    same up-set keys; the sweep takes each of the engine's three stops."""
-    stops = Counter()
+    same up-set keys; the sweep takes the flat sum, Horner alone and
+    Horner finished by one row above (1+x)^0."""
+    plans = Counter()
 
     def spy(terms, nv, assemble=dc._assemble):
-        rows, work, stop = assemble(terms, nv)
-        stops["flat" if stop > max(rows, default=0) else
-              "x^0" if stop == 0 else "lowest row"] += 1
-        return rows, work, stop
+        rows, work, flat = assemble(terms, nv)
+        plans["flat" if flat else "row" if min(rows) else "Horner"] += 1
+        return rows, work, flat
 
     monkeypatch.setattr(dc, "_assemble", spy)
     for n in range(2, 1200):
@@ -669,7 +669,7 @@ def test_engine_matches_flat_reference(monkeypatch):
             expected = _flat_reference(dc.engine_terms(cg, kind),
                                        cg.vertex_count)
             assert _engine_poly(n, kind) == expected, (n, kind)
-    assert set(stops) == {"flat", "x^0", "lowest row"}, stops
+    assert set(plans) == {"flat", "Horner", "row"}, plans
 
 
 def test_engine_count_reads_the_polynomial():
