@@ -22,14 +22,14 @@ import json
 import signal
 import sys
 
-from .domcount import (BRUTE_CEILING, DominationKind, check_upset_estimate,
-                       engine_terms, gamma_from_poly, terms_count, terms_gamma)
+from .domcount import (BRUTE_CEILING, DominationKind, engine_terms,
+                       gamma_from_poly, terms_count, terms_gamma)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family
 from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
                      format_report, report_to_dict, run_verification)
-from .zdgraph import (build_class_graph, check_vertex_limit, edge_count,
-                      edge_list, expand_vertex_graph, export_dot)
+from .zdgraph import (build_class_graph, edge_count, edge_list,
+                      expand_vertex_graph, export_dot)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,13 +137,13 @@ def cmd_table(args) -> int:
     rows = []
     status = EXIT_OK
     for n in range(lo, hi + 1):
-        try:  # the count has |V| bits, so |V| is bounded before D's walk
+        try:
             cg = build_class_graph(n)
             if cg.vertex_count == 0:
                 continue
-            check_upset_estimate(cg)
-            check_vertex_limit(cg, "class-engine")
-            terms = {k: engine_terms(cg, k) for k in DominationKind}
+            # The count has |V| bits, so |V| is bounded before D's walk.
+            terms = {k: engine_terms(cg, k, "class-engine")
+                     for k in DominationKind}
         except CapacityError as exc:
             _note_capacity(exc)
             status = EXIT_CAPACITY

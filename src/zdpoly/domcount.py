@@ -86,7 +86,8 @@ since every term's lowest coefficient is then positive and no coefficient is
 negative.  D_t's negative count, at n = p^alpha, takes all of the x
 coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).
 ``terms_count`` reads D(1), the sum of count * 2^free * prod(2^m - 1).
-So each command walks a kind's up-sets once and reads its table.
+So each command walks a kind's up-sets once and reads its table, and
+``engine_terms``, the one gate on D's walk, states the order of its refusals.
 
 The band reference in ``tests/band_reference.py`` enumerates per-class
 occupancy bands outright and shares no code with this engine; it brings its
@@ -267,12 +268,9 @@ def _meet_masks(conditions, bits):
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
     the sum of the term table of ``engine_terms``.  Raises CapacityError
-    as ``engine_terms`` and ``sum_terms`` do, and for D past
-    zdgraph.VERTEX_LIMIT between ``check_upset_estimate`` and the walk."""
-    if kind is DominationKind.ORDINARY:
-        check_upset_estimate(cg)
-        check_vertex_limit(cg, "class-engine")
-    return sum_terms(cg, engine_terms(cg, kind), "class-engine")
+    as ``engine_terms``, for a reader of size |V|, and ``sum_terms`` do."""
+    return sum_terms(cg, engine_terms(cg, kind, "class-engine"),
+                     "class-engine")
 
 
 def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
@@ -311,7 +309,8 @@ def terms_gamma(cg: ClassGraph, terms: dict) -> int | None:
                 if shift + len(gens)), default=None)
 
 
-def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
+def engine_terms(cg: ClassGraph, kind: DominationKind,
+                 what: str | None = None) -> dict:
     """The up-set key table {(shift, free size, sorted generator sizes):
     count} of ``cg``, whose terms sum to the counting polynomial.  D_t's
     table adds the key (1, 0, ()) with count -(p - 1) when n = p^alpha.
@@ -320,11 +319,21 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     and ``neighbors[k - 1 - j]`` is the up-set of class j.  D_t's
     generators are the partners n/p of the primes p | n, of p - 1 vertices
     each.  Each up-set contributes the product of the class weights in the
-    module docstring.  Only D walks, so only D raises CapacityError: by
-    ``check_upset_estimate`` before the walk, and once it counts past
-    ENGINE_UPSET_LIMIT.  Neither kind builds anything of size |V|."""
+    module docstring.  Only D walks, and this is its one gate: it raises
+    CapacityError when the widest rank level of the divisors of n implies
+    over ENGINE_UPSET_LIMIT up-sets, then past zdgraph.VERTEX_LIMIT when
+    ``what`` names a reader that builds output of size |V|, then once the
+    walk counts past ENGINE_UPSET_LIMIT.  Neither table holds anything of
+    size |V|, so without ``what`` both are built at any size."""
     if kind is DominationKind.ORDINARY:
-        check_upset_estimate(cg)
+        widest = _widest_rank_level(cg)
+        if 1 << widest > ENGINE_UPSET_LIMIT:
+            raise CapacityError(
+                f"n={cg.n} has {widest} divisor classes of one rank, so at "
+                f"least 2^{widest} up-sets, over the class-engine up-set "
+                f"limit of {ENGINE_UPSET_LIMIT}")
+        if what is not None:
+            check_vertex_limit(cg, what)
         return _upset_terms(cg.n, cg.neighbors[::-1],
                             [c.size for c in cg.classes])
     # With U all classes, every class but the generators n/p is free.  A
@@ -334,17 +343,6 @@ def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     if len(gens) == 1:
         terms[1, 0, ()] = -gens[0]
     return terms
-
-
-def check_upset_estimate(cg: ClassGraph) -> None:
-    """Raise CapacityError when the widest rank level of the divisors of
-    cg.n implies over ENGINE_UPSET_LIMIT up-sets for D's walk."""
-    widest = _widest_rank_level(cg)
-    if 1 << widest > ENGINE_UPSET_LIMIT:
-        raise CapacityError(
-            f"n={cg.n} has {widest} divisor classes of one rank, so at "
-            f"least 2^{widest} up-sets, over the class-engine up-set "
-            f"limit of {ENGINE_UPSET_LIMIT}")
 
 
 def _bits(mask):

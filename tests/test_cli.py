@@ -423,6 +423,27 @@ def test_table_prints_the_rows_it_answers(json_flag):
     assert answered == [27718, 27719, 27721, 27722]
 
 
+@pytest.mark.parametrize("n, refusal", [
+    # Over both gates: the rank-level bound is checked first.
+    (720720, "n=720720 has 46 divisor classes of one rank, so at least "
+             "2^46 up-sets, over the class-engine up-set limit of "
+             f"{domcount.ENGINE_UPSET_LIMIT}"),
+    # Within the rank-level bound (18 divisors): the vertex limit refuses
+    # before any up-set is visited.
+    (100800, "n=100800 has 77759 vertices, over the class-engine limit "
+             "of 50000"),
+])
+def test_table_refuses_before_the_walk(monkeypatch, capsys, n, refusal):
+    def no_walk(*args):
+        raise AssertionError("the up-sets were walked")
+
+    monkeypatch.setattr(domcount, "_upset_terms", no_walk)
+    assert cli.main(["table", str(n), str(n)]) == cli.EXIT_CAPACITY
+    out, err = capsys.readouterr()
+    assert err == f"zdpoly: capacity: {refusal}\n"
+    assert len(out.splitlines()) == 1  # the header, no row
+
+
 def test_table_skips_an_n_it_cannot_factor(monkeypatch, capsys):
     """table builds each class graph where it catches refusals, so an n
     that trial division refuses costs its own row only: with the limit at
@@ -504,3 +525,27 @@ def test_main_keeps_no_state_between_calls(monkeypatch, capsys):
     first = [run(argv) for argv in argvs]
     assert [run(argv) for argv in argvs] == first
     assert [status for status, _, _ in first] == [0] * 6 + [1, 1] + [0] * 4
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["poly", "336", "--json"], 1),
+    (["table", "240", "240"], 1),
+    (["gamma", "336"], 1),
+    (["verify", "36", "--json"], 1),
+    (["poly", "336", "--total", "--json"], 0),
+])
+def test_d_walk_computes_the_rank_bound_once(monkeypatch, capsys, argv,
+                                             calls):
+    """engine_terms is the one gate on D's walk, so a command computes the
+    rank-level bound once per D walk, and D_t, which does not walk, none."""
+    real = domcount._widest_rank_level
+    bounded = []
+
+    def widest(cg):
+        bounded.append(cg.n)
+        return real(cg)
+
+    monkeypatch.setattr(domcount, "_widest_rank_level", widest)
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(bounded) == calls

@@ -3,7 +3,7 @@
 import hashlib
 import tracemalloc
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -260,9 +260,10 @@ def test_resolve_brute_limit(monkeypatch):
 def test_engine_class_capacity(monkeypatch):
     # 27720 = 2^3 3^2 5 7 11 has 22 divisors with 4 prime factors, and
     # 720720 = 2^4 3^2 5 7 11 13 has 46 with 6; every subset of such a rank
-    # level is an antichain, so both engine readers refuse D before the
-    # up-set walk starts.
+    # level is an antichain, so every engine reader refuses D before the
+    # up-set walk starts, and before the vertex limit (720720 is over both).
     limit = dc.ENGINE_UPSET_LIMIT
+    sized = partial(engine_terms, what="class-engine")
 
     def no_walk(*args):
         raise AssertionError("the up-sets were walked")
@@ -271,7 +272,7 @@ def test_engine_class_capacity(monkeypatch):
         mp.setattr(dc, "_upset_terms", no_walk)
         for n, widest in ((27720, 22), (720720, 46)):
             cg = build_class_graph(n)
-            for engine in (class_engine_poly, engine_terms):
+            for engine in (class_engine_poly, engine_terms, sized):
                 with pytest.raises(CapacityError) as err:
                     engine(cg, ORD)
                 assert str(err.value) == (
@@ -283,15 +284,18 @@ def test_engine_class_capacity(monkeypatch):
         # the six generators n/p, and 100800, whose widest level has 18
         # divisors, within the rank bound, reaches D's walk.  The
         # polynomial has |V| + 1 coefficients, so class_engine_poly refuses
-        # 720720's 582 479 vertices in the sum and 100800's 77 759 before
-        # D's walk.
+        # 720720's 582 479 vertices in the sum, and it and engine_terms
+        # named for it refuse 100800's 77 759 before D's walk.
         cg = build_class_graph(720720)
         assert engine_terms(cg, TOT) == {(0, 582444, (1, 2, 4, 6, 10, 12)): 1}
         with pytest.raises(AssertionError, match="the up-sets were walked"):
             engine_terms(build_class_graph(100800), ORD)
-        for n, kind, nv in ((720720, TOT, 582479), (100800, ORD, 77759)):
+        for n, kind, nv, engine in (
+                (720720, TOT, 582479, class_engine_poly),
+                (100800, ORD, 77759, class_engine_poly),
+                (100800, ORD, 77759, sized)):
             with pytest.raises(CapacityError) as err:
-                class_engine_poly(build_class_graph(n), kind)
+                engine(build_class_graph(n), kind)
             assert str(err.value) == (
                 f"n={n} has {nv} vertices, over the class-engine limit of "
                 f"{VERTEX_LIMIT}")
