@@ -22,8 +22,8 @@ import json
 import signal
 import sys
 
-from .domcount import (BRUTE_CEILING, DominationKind, engine_terms,
-                       gamma_from_poly, terms_count, terms_gamma)
+from .domcount import (BRUTE_CEILING, DominationKind, domination_number,
+                       engine_terms, gamma_from_poly, terms_count)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import classify_family
 from .verify import (METHOD_CLASSES, METHODS, STATUS_MISMATCH, compute,
@@ -109,8 +109,7 @@ def cmd_graph(args) -> int:
 def cmd_gamma(args) -> int:
     n = args.n
     cg = build_class_graph(n)
-    gamma, gamma_total = (terms_gamma(cg, engine_terms(cg, k))
-                          for k in DominationKind)
+    gamma, gamma_total = (domination_number(cg, k) for k in DominationKind)
     if args.json:
         print(json.dumps(
             {"n": n, "gamma": gamma, "gamma_total": gamma_total}))
@@ -141,15 +140,12 @@ def cmd_table(args) -> int:
             cg = build_class_graph(n)
             if cg.vertex_count == 0:
                 continue
-            # The count has |V| bits, so |V| is bounded before D's walk.
-            terms = {k: engine_terms(cg, k, "class-engine")
-                     for k in DominationKind}
+            count = terms_count(engine_terms(cg, kind))
         except CapacityError as exc:
             _note_capacity(exc)
             status = EXIT_CAPACITY
             continue
-        gamma, gamma_total = (terms_gamma(cg, t) for t in terms.values())
-        count = terms_count(terms[kind])
+        gamma, gamma_total = (domination_number(cg, k) for k in DominationKind)
         family = classify_family(cg.factorization).label
         if args.json:
             rows.append({

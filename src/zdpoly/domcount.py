@@ -79,15 +79,19 @@ an add, and each row adds its Q_E(2^w) once.  The packed steps cost more
 the wider the slots, so the list takes over past _PACKED_SLOT_BITS
 (n = 336 sums packed, 2520 on the list).
 
-``terms_gamma`` reads the domination number from the up-set keys (shift,
-free size, generator sizes) without building a polynomial.  With no
-negative count, gamma is the least positive shift + |gens| over the keys,
-since every term's lowest coefficient is then positive and no coefficient is
-negative.  D_t's negative count, at n = p^alpha, takes all of the x
-coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).
+``domination_number`` reads gamma with no polynomial and no up-set table.
+D's counts are positive, so gamma is the least lowest degree, shift +
+|gens|, of a kept term.  With L = ~U, the down-set of uncovered classes, a
+term is kept when L and pi(L) are disjoint (L is pi-free); its shift is the
+vertex count of L, and |gens| counts the minima of U outside pi(L).  The
+down-sets of a pi-free L are pi-free, so a walk that grows L by a minimum
+of U at a time, in ascending class order, skipping pi(L) and the class
+that is its own partner, meets each kept term once, and it cuts a branch
+once its shift, which only grows, reaches the best degree so far.  The
+root, L empty, gives omega(n), so at every composite n < 10^5 it visits at
+most 2 down-sets.  D_t's negative count, at n = p^alpha, takes all of the
+x coefficient, so gamma_t is then 2, or undefined when n = 4 (one vertex).
 ``terms_count`` reads D(1), the sum of count * 2^free * prod(2^m - 1).
-So each command walks a kind's up-sets once and reads its table, and
-``engine_terms``, the one gate on D's walk, states the order of its refusals.
 
 The band reference in ``tests/band_reference.py`` enumerates per-class
 occupancy bands outright and shares no code with this engine; it brings its
@@ -268,9 +272,8 @@ def _meet_masks(conditions, bits):
 def class_engine_poly(cg: ClassGraph, kind: DominationKind) -> Polynomial:
     """Counting polynomial of ``cg``, a graph from ``build_class_graph``:
     the sum of the term table of ``engine_terms``.  Raises CapacityError
-    as ``engine_terms``, for a reader of size |V|, and ``sum_terms`` do."""
-    return sum_terms(cg, engine_terms(cg, kind, "class-engine"),
-                     "class-engine")
+    as ``engine_terms`` and ``sum_terms`` do."""
+    return sum_terms(cg, engine_terms(cg, kind), "class-engine")
 
 
 def sum_terms(cg: ClassGraph, terms: dict, what: str) -> Polynomial:
@@ -300,31 +303,49 @@ def terms_count(terms: dict) -> int:
     return count
 
 
-def terms_gamma(cg: ClassGraph, terms: dict) -> int | None:
-    """``gamma_from_poly`` of the sum of ``terms``, an ``engine_terms``
-    table of ``cg``, read from its keys (see the module docstring)."""
-    if any(c < 0 for c in terms.values()):
-        return 2 if cg.vertex_count >= 2 else None
-    return min((shift + len(gens) for shift, _, gens in terms
-                if shift + len(gens)), default=None)
+def domination_number(cg: ClassGraph, kind: DominationKind) -> int | None:
+    """``gamma_from_poly`` of the counting polynomial of ``cg``: D's by
+    the bounded walk in the module docstring, D_t's from its one key."""
+    if kind is DominationKind.TOTAL:
+        (_, _, gens), *signed = _total_terms(cg)
+        if signed:
+            return 2 if cg.vertex_count >= 2 else None
+        return len(gens) or None
+    k = len(cg.classes)
+    if not k:
+        return None
+    sizes = [c.size for c in cg.classes]
+    # neighbors[c] is the up-set of c's partner, so its k bits reversed
+    # are c's down-set; below[c] leaves c out.
+    below = [int(f"{m:0{k}b}"[::-1], 2) & ~(1 << c)
+             for c, m in enumerate(cg.neighbors)]
+    best = cg.vertex_count
+    stack = [(0, 0, 0, 0)]  # (L, pi(L), its vertex count, least new class)
+    while stack:
+        low, pi_low, shift, start = stack.pop()
+        if shift >= best:
+            continue
+        minima = [c for c in range(k)
+                  if not (low >> c & 1 or below[c] & ~low)]
+        best = min(best, shift + sum(not pi_low >> c & 1 for c in minima))
+        stack += [(low | 1 << c, pi_low | 1 << k - 1 - c, shift + sizes[c],
+                   c + 1) for c in minima
+                  if c >= start and not pi_low >> c & 1 and 2 * c != k - 1]
+    return best
 
 
-def engine_terms(cg: ClassGraph, kind: DominationKind,
-                 what: str | None = None) -> dict:
+def engine_terms(cg: ClassGraph, kind: DominationKind) -> dict:
     """The up-set key table {(shift, free size, sorted generator sizes):
     count} of ``cg``, whose terms sum to the counting polynomial.  D_t's
     table adds the key (1, 0, ()) with count -(p - 1) when n = p^alpha.
 
     The classes ascend, so the partner n/d_j of class j is class k - 1 - j,
-    and ``neighbors[k - 1 - j]`` is the up-set of class j.  D_t's
-    generators are the partners n/p of the primes p | n, of p - 1 vertices
-    each.  Each up-set contributes the product of the class weights in the
-    module docstring.  Only D walks, and this is its one gate: it raises
-    CapacityError when the widest rank level of the divisors of n implies
-    over ENGINE_UPSET_LIMIT up-sets, then past zdgraph.VERTEX_LIMIT when
-    ``what`` names a reader that builds output of size |V|, then once the
-    walk counts past ENGINE_UPSET_LIMIT.  Neither table holds anything of
-    size |V|, so without ``what`` both are built at any size."""
+    and ``neighbors[k - 1 - j]`` is the up-set of class j.  Each up-set
+    contributes the product of the class weights in the module docstring.
+    Every caller builds output of size |V|, so this raises CapacityError
+    when the widest rank level of the divisors of n implies over
+    ENGINE_UPSET_LIMIT up-sets (D only), then past zdgraph.VERTEX_LIMIT,
+    then once D's walk counts past ENGINE_UPSET_LIMIT."""
     if kind is DominationKind.ORDINARY:
         widest = _widest_rank_level(cg)
         if 1 << widest > ENGINE_UPSET_LIMIT:
@@ -332,12 +353,17 @@ def engine_terms(cg: ClassGraph, kind: DominationKind,
                 f"n={cg.n} has {widest} divisor classes of one rank, so at "
                 f"least 2^{widest} up-sets, over the class-engine up-set "
                 f"limit of {ENGINE_UPSET_LIMIT}")
-        if what is not None:
-            check_vertex_limit(cg, what)
+    check_vertex_limit(cg, "class-engine")
+    if kind is DominationKind.ORDINARY:
         return _upset_terms(cg.n, cg.neighbors[::-1],
                             [c.size for c in cg.classes])
-    # With U all classes, every class but the generators n/p is free.  A
-    # prime n has no classes, so no generators.
+    return _total_terms(cg)
+
+
+def _total_terms(cg):
+    """D_t's table: one key, U all classes and its generators the partners
+    n/p of the primes p | n, of p - 1 vertices each, and every other class
+    free; a prime n has no classes, so no generators."""
     gens = tuple(p - 1 for p, _ in cg.factorization.factors if p < cg.n)
     terms = {(0, cg.vertex_count - sum(gens), gens): 1}
     if len(gens) == 1:

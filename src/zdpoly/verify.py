@@ -10,12 +10,11 @@ formula is pinpointed rather than merely flagged.
 from __future__ import annotations
 
 import time
-from contextlib import suppress
 from typing import NamedTuple
 
 from .closedform import closed_form_poly
 from .domcount import (DominationKind, brute_force_poly, check_brute_size,
-                       class_engine_poly, engine_terms, sum_terms, terms_gamma)
+                       class_engine_poly, domination_number)
 from .errors import CapacityError, UnsupportedFamilyError
 from .numtheory import FamilyTag, classify_family
 from .polyring import Polynomial
@@ -89,18 +88,11 @@ def _timed(fn):
 
 
 def run_verification(n: int, kind: DominationKind) -> VerificationReport:
-    """Report on n for ``kind`` by every method of METHODS.  Each kind's
-    up-sets are walked at most once: ``classes`` sums its kind's table, and
-    ``terms_gamma`` reads both gammas from the tables, None where refused."""
+    """Report on n for ``kind`` by every method of METHODS, with both
+    gammas read by ``domination_number``, which no method's refusal
+    stops."""
     cg = build_class_graph(n)
-    terms = dict.fromkeys(DominationKind)  # ORDINARY, then TOTAL
-
-    def classes():
-        terms[kind] = engine_terms(cg, kind)
-        return sum_terms(cg, terms[kind], "class-engine")
-    outcomes = {m: _timed(classes if m == METHOD_CLASSES else
-                          lambda m=m: compute(m, cg, kind))
-                for m in METHODS}
+    outcomes = {m: _timed(lambda m=m: compute(m, cg, kind)) for m in METHODS}
     ran = tuple(m for m in METHODS if outcomes[m].polynomial is not None)
     polys = {m: outcomes[m].polynomial for m in ran}
     distinct = set(polys.values())
@@ -117,11 +109,7 @@ def run_verification(n: int, kind: DominationKind) -> VerificationReport:
         status = STATUS_ALL_AGREE
     else:
         status = STATUS_PARTIAL
-    for k in terms.keys() - {kind}:
-        with suppress(CapacityError):
-            terms[k] = engine_terms(cg, k)
-    gamma, gamma_total = (None if t is None else terms_gamma(cg, t)
-                          for t in terms.values())
+    gamma, gamma_total = (domination_number(cg, k) for k in DominationKind)
     return VerificationReport(
         n=n, family=classify_family(cg.factorization), kind=kind,
         outcomes=outcomes, status=status, compared=ran,

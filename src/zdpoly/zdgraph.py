@@ -11,7 +11,8 @@ what the counting engine consumes; the expanded form exists for brute-force
 checks and DOT export.
 
 VERTEX_LIMIT caps every computation that builds data of size |V|:
-expansion, and ``domcount.sum_terms``, which sums every term table.
+expansion, ``domcount.engine_terms``, whose every reader builds such data,
+and ``domcount.sum_terms``, which sums every term table.
 """
 
 from __future__ import annotations

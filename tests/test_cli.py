@@ -291,7 +291,7 @@ def test_table_output_pinned(argv, digest):
     (("gamma", "2520"), [],
      "a1b72f88ce97749da14056a4ba5de8777fc35fb30f8921ed9978500cd6bbbf1e"),
     # verify sums the D_t table it compares, by the class engine and by the
-    # closed form, and reads only gamma of D.  Digest with the [ ... ms]
+    # closed form, and no table for either gamma.  Digest with the [ ... ms]
     # timings blanked.
     (("verify", "45", "--total"), ["class-engine", "closed-form"],
      "fe2fa6027e1412b68b941e6f8ecf5b2b2c6a092728344cba1c89b54775e62f7b"),
@@ -301,7 +301,8 @@ def test_numbers_read_without_polynomials(monkeypatch, capsys, argv, sums,
     """gamma, table and verify's other kind print what they printed while
     they built polynomials, with no term table summed for those numbers.
     The class engine and the closed forms sum every polynomial they build by
-    ``sum_terms``, so each module that binds the name has it wrapped."""
+    ``sum_terms``, so each module that binds the name has it wrapped; verify
+    only calls the methods, and does not bind it."""
     real = domcount.sum_terms
     summed = []
 
@@ -309,7 +310,7 @@ def test_numbers_read_without_polynomials(monkeypatch, capsys, argv, sums,
         summed.append(what)
         return real(cg, terms, what)
 
-    for module in (domcount, verify, closedform):
+    for module in (domcount, closedform):
         monkeypatch.setattr(module, "sum_terms", sum_terms)
     assert cli.main(list(argv)) == 0
     assert summed == sums
@@ -423,6 +424,10 @@ def test_table_prints_the_rows_it_answers(json_flag):
     assert answered == [27718, 27719, 27721, 27722]
 
 
+def _no_walk(*args):
+    raise AssertionError("the up-sets were walked")
+
+
 @pytest.mark.parametrize("n, refusal", [
     # Over both gates: the rank-level bound is checked first.
     (720720, "n=720720 has 46 divisor classes of one rank, so at least "
@@ -434,13 +439,39 @@ def test_table_prints_the_rows_it_answers(json_flag):
              "of 50000"),
 ])
 def test_table_refuses_before_the_walk(monkeypatch, capsys, n, refusal):
-    def no_walk(*args):
-        raise AssertionError("the up-sets were walked")
-
-    monkeypatch.setattr(domcount, "_upset_terms", no_walk)
+    monkeypatch.setattr(domcount, "_upset_terms", _no_walk)
     assert cli.main(["table", str(n), str(n)]) == cli.EXIT_CAPACITY
     out, err = capsys.readouterr()
     assert err == f"zdpoly: capacity: {refusal}\n"
+    assert len(out.splitlines()) == 1  # the header, no row
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["gamma", "720720"], "gamma=6 gamma_total=6"),
+    (["verify", "15120", "--total"], "gamma=4 gamma_total=4"),
+    (["table", "27720", "27720", "--total"],
+     "27720 other    21959 488248     5       5 "),
+], ids=["gamma", "verify-total", "table-total"])
+def test_gammas_read_without_the_upset_walk(monkeypatch, capsys, argv, line):
+    """Neither gamma is read from D's up-set table, so these commands
+    answer with the walk refused outright: gamma 720720, past the rank
+    bound and the vertex limit, verify 15120 --total, past the up-set
+    limit, and table 27720 27720 --total, past the rank bound."""
+    monkeypatch.setattr(domcount, "_upset_terms", _no_walk)
+    assert cli.main(argv) == cli.EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert any(row.startswith(line) for row in printed), printed
+
+
+def test_table_total_refuses_past_the_vertex_limit(monkeypatch, capsys):
+    """Dt(1) has |V| bits, so table --total refuses 100800's 77 759
+    vertices as it builds D_t's table, and D's up-sets are not walked."""
+    monkeypatch.setattr(domcount, "_upset_terms", _no_walk)
+    assert cli.main(["table", "100800", "100800", "--total"]) == (
+        cli.EXIT_CAPACITY)
+    out, err = capsys.readouterr()
+    assert err == ("zdpoly: capacity: n=100800 has 77759 vertices, over the "
+                   "class-engine limit of 50000\n")
     assert len(out.splitlines()) == 1  # the header, no row
 
 
@@ -530,14 +561,15 @@ def test_main_keeps_no_state_between_calls(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, calls", [
     (["poly", "336", "--json"], 1),
     (["table", "240", "240"], 1),
-    (["gamma", "336"], 1),
+    (["gamma", "336"], 0),
     (["verify", "36", "--json"], 1),
     (["poly", "336", "--total", "--json"], 0),
 ])
 def test_d_walk_computes_the_rank_bound_once(monkeypatch, capsys, argv,
                                              calls):
     """engine_terms is the one gate on D's walk, so a command computes the
-    rank-level bound once per D walk, and D_t, which does not walk, none."""
+    rank-level bound once per D walk, and D_t, which does not walk, none.
+    gamma reads both gammas without a table, so it computes none."""
     real = domcount._widest_rank_level
     bounded = []
 

@@ -3,7 +3,7 @@
 import hashlib
 import tracemalloc
 from collections import Counter
-from functools import cache, partial
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +14,9 @@ from band_reference import (Band, band_occupies, band_weight, bands_for_size,
 import zdpoly.domcount as dc
 from zdpoly.domcount import (DominationKind, brute_force_poly,
                              check_brute_size, class_engine_poly,
-                             engine_terms, gamma_from_poly,
-                             resolve_brute_limit, terms_count, terms_gamma)
+                             domination_number, engine_terms,
+                             gamma_from_poly, resolve_brute_limit,
+                             terms_count)
 from zdpoly.errors import CapacityError
 from zdpoly.numtheory import factorize
 from zdpoly.polyring import Polynomial, binomial_expand, evaluate_at
@@ -263,7 +264,6 @@ def test_engine_class_capacity(monkeypatch):
     # level is an antichain, so every engine reader refuses D before the
     # up-set walk starts, and before the vertex limit (720720 is over both).
     limit = dc.ENGINE_UPSET_LIMIT
-    sized = partial(engine_terms, what="class-engine")
 
     def no_walk(*args):
         raise AssertionError("the up-sets were walked")
@@ -272,33 +272,25 @@ def test_engine_class_capacity(monkeypatch):
         mp.setattr(dc, "_upset_terms", no_walk)
         for n, widest in ((27720, 22), (720720, 46)):
             cg = build_class_graph(n)
-            for engine in (class_engine_poly, engine_terms, sized):
+            for engine in (class_engine_poly, engine_terms):
                 with pytest.raises(CapacityError) as err:
                     engine(cg, ORD)
                 assert str(err.value) == (
                     f"n={n} has {widest} divisor classes of one rank, so at "
                     f"least 2^{widest} up-sets, over the class-engine up-set "
                     f"limit of {limit}")
-        # Neither table holds anything of size |V|, so engine_terms builds
-        # both at any size: D_t's of 720720 is one key, the product over
-        # the six generators n/p, and 100800, whose widest level has 18
-        # divisors, within the rank bound, reaches D's walk.  The
-        # polynomial has |V| + 1 coefficients, so class_engine_poly refuses
-        # 720720's 582 479 vertices in the sum, and it and engine_terms
-        # named for it refuse 100800's 77 759 before D's walk.
-        cg = build_class_graph(720720)
-        assert engine_terms(cg, TOT) == {(0, 582444, (1, 2, 4, 6, 10, 12)): 1}
-        with pytest.raises(AssertionError, match="the up-sets were walked"):
-            engine_terms(build_class_graph(100800), ORD)
-        for n, kind, nv, engine in (
-                (720720, TOT, 582479, class_engine_poly),
-                (100800, ORD, 77759, class_engine_poly),
-                (100800, ORD, 77759, sized)):
-            with pytest.raises(CapacityError) as err:
-                engine(build_class_graph(n), kind)
-            assert str(err.value) == (
-                f"n={n} has {nv} vertices, over the class-engine limit of "
-                f"{VERTEX_LIMIT}")
+        # Every reader of a table builds output of size |V|, so
+        # engine_terms refuses both kinds past the vertex limit: D_t's
+        # 720720 (582 479 vertices) and 100800 (77 759), whose widest
+        # level has 18 divisors, within the rank bound, before D's walk.
+        for n, kind, nv in ((720720, TOT, 582479), (100800, ORD, 77759),
+                            (100800, TOT, 77759)):
+            for engine in (class_engine_poly, engine_terms):
+                with pytest.raises(CapacityError) as err:
+                    engine(build_class_graph(n), kind)
+                assert str(err.value) == (
+                    f"n={n} has {nv} vertices, over the class-engine limit "
+                    f"of {VERTEX_LIMIT}")
     # Below the bound the walk counts: 2520's widest level has 11 divisors
     # (2^11 = 2 048 up-sets at least) and it has 59 540 up-sets.
     monkeypatch.setattr(dc, "ENGINE_UPSET_LIMIT", 10_000)
@@ -408,9 +400,8 @@ def test_horner_sum_picks_its_representation(monkeypatch, n, used, unused,
     cg = build_class_graph(n)
     poly = class_engine_poly(cg, kind)
     assert calls == {used: 1}
-    terms = engine_terms(cg, kind)
-    assert gamma_from_poly(poly) == terms_gamma(cg, terms)
-    assert sum(poly.coeffs) == terms_count(terms)
+    assert gamma_from_poly(poly) == domination_number(cg, kind)
+    assert sum(poly.coeffs) == terms_count(engine_terms(cg, kind))
 
 
 def _no_window(*args):
@@ -677,26 +668,51 @@ def test_engine_matches_flat_reference(monkeypatch):
 
 
 def test_engine_count_reads_the_polynomial():
-    """gamma and the count read from the up-set keys equal gamma_from_poly
-    and the value at 1 of the engine's polynomial, primes included.  The
-    pinned n reach shapes the small n do not."""
+    """gamma read by domination_number and the count read from the up-set
+    keys equal gamma_from_poly and the value at 1 of the engine's
+    polynomial, primes included.  The pinned n reach shapes the small n do
+    not."""
     for n in [*range(2, 501), *PINNED_N]:
         cg = build_class_graph(n)
         for kind in (ORD, TOT):
             p = _engine_poly(n, kind)
-            terms = engine_terms(cg, kind)
-            assert terms_gamma(cg, terms) == gamma_from_poly(p), (n, kind)
-            assert terms_count(terms) == evaluate_at(p, 1), (n, kind)
+            assert domination_number(cg, kind) == gamma_from_poly(p), (n, kind)
+            assert terms_count(engine_terms(cg, kind)) == evaluate_at(p, 1), (
+                n, kind)
+
+
+def terms_gamma(cg, terms):
+    """``gamma_from_poly`` of the sum of ``terms``, an ``engine_terms``
+    table of ``cg``, read from its keys: with no negative count, the least
+    positive shift + |gens|, since every term's lowest coefficient is then
+    positive; D_t's negative count, at n = p^alpha, takes all of the x
+    coefficient, so gamma_t is then 2, or undefined when n = 4."""
+    if any(c < 0 for c in terms.values()):
+        return 2 if cg.vertex_count >= 2 else None
+    return min((shift + len(gens) for shift, _, gens in terms
+                if shift + len(gens)), default=None)
+
+
+def test_walk_matches_the_whole_table():
+    """For D at every n below 3000, the bounded walk over the pi-free
+    down-sets reads the gamma that terms_gamma reads from the whole up-set
+    table, and from its one key for D_t."""
+    for n in range(2, 3000):
+        cg = build_class_graph(n)
+        for kind in (ORD, TOT):
+            assert (domination_number(cg, kind)
+                    == terms_gamma(cg, engine_terms(cg, kind))), (n, kind)
 
 
 def test_gamma_follows_the_factorization():
-    """gamma and gamma_t read from the up-set keys of every composite n
-    below 3000 follow from the class graph's factorization alone: gamma
-    is 1 at n = p^alpha and 2p, whose vertex n/p or n/2 is joined to all
-    others, and omega(n) otherwise; gamma_t is 2 at n = p^alpha, but
-    undefined for the one vertex of n = 4, and omega(n) otherwise."""
+    """gamma and gamma_t of every composite n below 20 000 follow from the
+    class graph's factorization alone: gamma is 1 at n = p^alpha and 2p,
+    whose vertex n/p or n/2 is joined to all others, and omega(n)
+    otherwise; gamma_t is 2 at n = p^alpha, but undefined for the one
+    vertex of n = 4, and omega(n) otherwise.  Past 3000, beyond the whole
+    table's check, D's walk is the only reader."""
     composites = 0
-    for n in range(4, 3000):
+    for n in range(4, 20_000):
         cg = build_class_graph(n)
         primes = [p for p, _ in cg.factorization.factors]
         if primes == [n]:
@@ -705,9 +721,9 @@ def test_gamma_follows_the_factorization():
         omega = len(primes)
         gamma = 1 if omega == 1 or n == 2 * primes[-1] else omega
         gamma_t = None if n == 4 else 2 if omega == 1 else omega
-        assert terms_gamma(cg, engine_terms(cg, ORD)) == gamma, n
-        assert terms_gamma(cg, engine_terms(cg, TOT)) == gamma_t, n
-    assert composites == 2568
+        assert domination_number(cg, ORD) == gamma, n
+        assert domination_number(cg, TOT) == gamma_t, n
+    assert composites == 17736
 
 
 @pytest.mark.parametrize("n, ordinary, total", [
@@ -725,15 +741,16 @@ def test_gamma_follows_the_factorization():
 def test_engine_count_edge_cases(n, ordinary, total):
     cg = build_class_graph(n)
     for kind, expected in ((ORD, ordinary), (TOT, total)):
-        terms = engine_terms(cg, kind)
-        assert (terms_gamma(cg, terms), terms_count(terms)) == expected
+        assert (domination_number(cg, kind),
+                terms_count(engine_terms(cg, kind))) == expected
 
 
 def test_engine_counts_are_signed_only_at_the_prime_power_x():
-    """terms_gamma reads gamma as the least positive shift + |gens|,
-    which holds only with no negative count.  Below 1200, every count of
-    D's up-set keys is positive, and D_t's table has a negative count only
-    at (1, 0, ()), the -(p-1)x of n = p^alpha, alpha >= 2, and there."""
+    """terms_gamma reads gamma as the least positive shift + |gens|, and
+    D's walk as the least lowest degree of a term, which holds only with
+    no negative count.  Below 1200, every count of D's up-set keys is
+    positive, and D_t's table has a negative count only at (1, 0, ()), the
+    -(p-1)x of n = p^alpha, alpha >= 2, and there."""
     for n in range(2, 1200):
         cg = build_class_graph(n)
         assert all(c > 0 for c in dc.engine_terms(cg, ORD).values()), n

@@ -7,7 +7,7 @@ import pytest
 
 import zdpoly.domcount as dc
 from zdpoly import cli, verify
-from zdpoly.domcount import DominationKind, engine_terms, terms_gamma
+from zdpoly.domcount import DominationKind, domination_number
 from zdpoly.errors import CapacityError
 from zdpoly.polyring import Polynomial
 from zdpoly.verify import (METHOD_BRUTE, METHOD_CLASSES, METHOD_CLOSED,
@@ -126,34 +126,37 @@ def test_closed_form_refused_over_vertex_limit(monkeypatch):
 
 def test_gamma_read_from_the_keys_when_the_polynomial_is_refused(monkeypatch):
     # The engine's polynomial is refused over the work limit after the
-    # up-set walk; gamma is then read from the up-set keys, as `gamma` does.
+    # up-set walk; gamma is read by domination_number all the same, as
+    # `gamma` reads it.
     monkeypatch.setattr(dc, "ENGINE_WORK_LIMIT", 0)
     rep = run_verification(360, ORD)
     assert rep.outcomes[METHOD_CLASSES].polynomial is None
     cg = build_class_graph(360)
-    assert rep.gamma == terms_gamma(cg, engine_terms(cg, ORD)) == 3
-    assert rep.gamma_total == terms_gamma(cg, engine_terms(cg, TOT))
+    assert rep.gamma == domination_number(cg, ORD) == 3
+    assert rep.gamma_total == domination_number(cg, TOT) == 3
 
 
 _UPSETS_REFUSED = ("counting up-sets of divisor classes for n=2520 reached "
                    "10001, over the class-engine up-set limit of 10000")
 
 
-@pytest.mark.parametrize("n, kind, limits, gammas, skipped", [
-    (360, ORD, {}, (3, 3), None),
-    (360, ORD, {"ENGINE_WORK_LIMIT": 0}, (3, 3),
+@pytest.mark.parametrize("n, kind, limits, walks, skipped", [
+    (360, ORD, {}, [360], None),
+    (360, ORD, {"ENGINE_WORK_LIMIT": 0}, [360],
      "summing the binomial rows for n=360 counts 34716 operations, over "
      "the class-engine work limit of 0"),
-    (2520, ORD, {"ENGINE_UPSET_LIMIT": 10_000}, (None, 4), _UPSETS_REFUSED),
-    (2520, TOT, {}, (4, 4), None),
-    (2520, TOT, {"ENGINE_UPSET_LIMIT": 10_000}, (None, 4), None),
+    (2520, ORD, {"ENGINE_UPSET_LIMIT": 10_000}, [2520], _UPSETS_REFUSED),
+    (2520, TOT, {}, [], None),
+    (2520, TOT, {"ENGINE_UPSET_LIMIT": 10_000}, [], None),
 ], ids=["360-built", "360-sum-refused", "2520-walk-refused", "2520-total",
         "2520-total-D-refused"])
-def test_each_kind_is_walked_once(monkeypatch, n, kind, limits, gammas,
+def test_each_kind_is_walked_once(monkeypatch, n, kind, limits, walks,
                                   skipped):
-    """run_verification walks the D up-sets once, whether the polynomial
-    is built, its sum is refused, the walk is refused, or D is only read
-    for gamma; D_t's table is a product and walks nothing."""
+    """run_verification walks the D up-sets once, for the classes method
+    of D alone, whether the polynomial is built, its sum is refused or the
+    walk is refused; D_t's table is a product and walks nothing.  Neither
+    gamma is read from a walk of the up-sets, so no refusal of one
+    leaves a gamma undefined."""
     walk = dc._upset_terms
     walked = []
 
@@ -165,8 +168,8 @@ def test_each_kind_is_walked_once(monkeypatch, n, kind, limits, gammas,
     for name, value in limits.items():
         monkeypatch.setattr(dc, name, value)
     rep = run_verification(n, kind)
-    assert walked == [n]
-    assert (rep.gamma, rep.gamma_total) == gammas
+    assert walked == walks
+    assert (rep.gamma, rep.gamma_total) == ((3, 3) if n == 360 else (4, 4))
     assert rep.outcomes[METHOD_CLASSES].skipped == skipped
 
 
